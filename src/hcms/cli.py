@@ -20,7 +20,8 @@ from .corpus import (CleaningConfig, ConllParseError, LABELS, build_vocab,
 from .layers import HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, OptimizerConfig, TrainConfig, evaluate,
-                    format_epoch, load_checkpoint, save_checkpoint, train)
+                    format_epoch, load_checkpoint, predict, save_checkpoint,
+                    train)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -39,10 +40,10 @@ def _default_config():
     for dc in (CleaningConfig, TrainConfig, OptimizerConfig):
         for f in fields(dc):
             cfg[f.name] = f.default
+    # vocab_size comes from the corpus, lang_features from append_lang_onehot
     for f in fields(ModelConfig):
-        if f.name == "vocab_size":
-            continue
-        cfg[f.name] = f.default
+        if f.name not in ("vocab_size", "lang_features"):
+            cfg[f.name] = f.default
     return cfg
 
 
@@ -108,9 +109,9 @@ def _split_configs(cfg):
 
 def _model_config(cfg, vocab_size):
     kwargs = {f.name: cfg[f.name] for f in fields(ModelConfig)
-              if f.name != "vocab_size"}
-    kwargs["lang_features"] = cfg["append_lang_onehot"]
-    return ModelConfig(vocab_size=vocab_size, **kwargs)
+              if f.name not in ("vocab_size", "lang_features")}
+    return ModelConfig(vocab_size=vocab_size, lang_features=cfg["append_lang_onehot"],
+                       **kwargs)
 
 
 def _load_corpus(path, strict=False):
@@ -193,7 +194,7 @@ def cmd_eval(args):
     records, _ = _load_corpus(args.input)
     cleaned, _ = clean_corpus([r for r in records if r.label is not None], cleaning)
     data = encode_corpus(cleaned, vocab, cleaning)
-    trues, preds = evaluate(model, data)
+    trues, preds = evaluate(model, data, cfg["batch_size"])
     report = score(trues, preds, model.config.n_classes)
     (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
     (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
@@ -207,15 +208,16 @@ def cmd_predict(args):
     out.mkdir(parents=True, exist_ok=True)
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
     records, _ = _load_corpus(args.input)
-    lines = []
+    data = []
     from .corpus import clean, encode
     for rec in records:
         cleaned = clean(rec, cleaning)
         if cleaned is None:
-            ids, onehot = [1], None  # all tokens cleaned away: predict on UNK
+            data.append(([1], None))  # all tokens cleaned away: predict on UNK
         else:
-            ids, onehot = encode(cleaned, vocab, cleaning)
-        lines.append(f"{rec.id}\t{LABELS[model.predict(ids, onehot)]}")
+            data.append(encode(cleaned, vocab, cleaning))
+    preds = predict(model, data, cfg["batch_size"])
+    lines = [f"{rec.id}\t{LABELS[p]}" for rec, p in zip(records, preds)]
     (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_config(cfg, out)
     return EXIT_OK
@@ -238,7 +240,7 @@ def train_and_test_f1(cfg, train_path, val_path, test_path):
     model, vocab, cleaning, _ = _train_once(cfg, train_path, val_path)
     test_recs, _, _ = _prepare(test_path, cleaning)
     data = encode_corpus(test_recs, vocab, cleaning)
-    trues, preds = evaluate(model, data)
+    trues, preds = evaluate(model, data, cfg["batch_size"])
     return score(trues, preds, model.config.n_classes).weighted_f1
 
 

@@ -1,9 +1,11 @@
 """Model layers: embedding, conv block, pairwise additive self-attention,
 dense softmax head, and the full classifier that composes them.
 
-Each layer caches whatever its backward pass needs on the instance, so a
-model is single-writer during training (forward immediately followed by
-backward). Gradients accumulate into Parameter.grad.
+Layers take a leading batch axis: one forward and one backward move a
+whole minibatch. Each layer caches whatever its backward pass needs in
+its _cache attribute, so a model is single-writer during training (forward
+immediately followed by backward). Gradients accumulate into Parameter.grad, summed
+over the batch.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -58,7 +60,8 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class EmbeddingLayer:
-    """Token id -> embedding row lookup. Row 0 is PAD, frozen at zero."""
+    """Token id -> embedding row lookup: [B, L] ids -> [B, L, dim] rows.
+    Row 0 is PAD, frozen at zero."""
 
     def __init__(self, vocab_size, dim, rng):
         table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
@@ -71,17 +74,18 @@ class EmbeddingLayer:
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise VocabularyError(
                 f"token id out of range [0, {n}): {ids[(ids < 0) | (ids >= n)][0]}")
-        self._ids = ids
+        self._cache = ids
         return self.table.value[ids]
 
     def backward(self, dX):
-        ids = self._ids
+        ids = self._cache
         keep = ids != 0  # PAD never receives gradient
         np.add.at(self.table.grad, ids[keep], dX[keep])
 
 
 class ConvBlock:
-    """conv1d -> ReLU -> max-pool, i.e. the local-context extractor."""
+    """conv1d -> ReLU -> max-pool, i.e. the local-context extractor:
+    [B, u, d] -> [B, v', f]."""
 
     def __init__(self, in_dim, n_filters, kernel, stride, pool, pool_stride,
                  global_pool, rng):
@@ -94,26 +98,34 @@ class ConvBlock:
             rng, (n_filters, kernel, in_dim), kernel * in_dim, n_filters))
         self.bias = Parameter(np.zeros(n_filters))
 
+    def _conv_len(self, u):
+        return (u - self.kernel) // self.stride + 1
+
     def out_len(self, u):
-        v = (u - self.kernel) // self.stride + 1
         if self.global_pool:
             return 1
-        return (v - self.pool) // self.pool_stride + 1
+        return (self._conv_len(u) - self.pool) // self.pool_stride + 1
 
-    def forward(self, X):
-        self._X = X
-        self._Z = T.conv1d(X, self.filters.value, self.bias.value, self.stride)
-        self._R = T.relu(self._Z)
-        pool = self._R.shape[0] if self.global_pool else self.pool
-        stride = 1 if self.global_pool else self.pool_stride
-        self._pool_args = (pool, stride)
-        return T.maxpool1d(self._R, pool, stride)
+    def forward(self, X, lengths=None):
+        """Under global pooling, lengths [B] gives each example's length in a
+        batch padded to its longest; conv positions past it are masked to
+        -inf before the max, so padding never wins it."""
+        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride))
+        if self.global_pool:
+            pool, stride = R.shape[-2], 1
+            if lengths is not None:
+                valid = np.arange(pool) < self._conv_len(np.asarray(lengths))[:, None]
+                R = np.where(valid[..., None], R, -np.inf)
+        else:
+            pool, stride = self.pool, self.pool_stride
+        self._cache = (X, R, pool, stride)
+        return T.maxpool1d(R, pool, stride)
 
     def backward(self, dC):
-        pool, stride = self._pool_args
-        dR = T.maxpool1d_backward(dC, self._R, pool, stride)
-        dZ = T.relu_backward(dR, self._Z)
-        dX, dF, dB = T.conv1d_backward(dZ, self._X, self.filters.value, self.stride)
+        X, R, pool, stride = self._cache
+        dR = T.maxpool1d_backward(dC, R, pool, stride)
+        dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
+        dX, dF, dB = T.conv1d_backward(dZ, X, self.filters.value, self.stride)
         self.filters.grad += dF
         self.bias.grad += dB
         return dX
@@ -125,7 +137,7 @@ class SelfAttentionLayer:
     For each position t, every attended position t' gets a score
     sigma(W_a . tanh(c_t W_t + c_t' W_c + b_t) + b_a); scores are
     softmax-normalized over t' and used to average the c_t' into a_t.
-    The a_t are concatenated in sequence order.
+    The a_t are concatenated in sequence order: [B, v, dim] -> [B, v*dim].
     """
 
     def __init__(self, dim, hidden, include_self, score_sigmoid, rng):
@@ -137,8 +149,16 @@ class SelfAttentionLayer:
         self.W_a = Parameter(glorot_uniform(rng, (hidden, 1), hidden, 1))
         self.b_a = Parameter(np.zeros(1))
 
+    def _hidden(self, Tq, Kc):
+        """tanh(c_t W_t + c_t' W_c + b_t) for every pair: [B, v, v, hidden].
+        The model's largest array, so it is built in place and not cached:
+        backward rebuilds it."""
+        H = Tq[..., :, None, :] + Kc[..., None, :, :]
+        H += self.b_t.value
+        return np.tanh(H, out=H)
+
     def forward(self, C):
-        v = C.shape[0]
+        v = C.shape[-2]
         min_v = 1 if self.include_self else 2
         if v < min_v:
             raise AttentionDomainError(
@@ -146,65 +166,69 @@ class SelfAttentionLayer:
         mask = np.ones((v, v), dtype=bool)
         if not self.include_self:
             np.fill_diagonal(mask, False)
-        Tq = C @ self.W_t.value          # [v, h] query side
-        Kc = C @ self.W_c.value          # [v, h] key side
-        H = np.tanh(Tq[:, None, :] + Kc[None, :, :] + self.b_t.value)  # [v,v,h]
-        E = H @ self.W_a.value[:, 0] + self.b_a.value[0]               # [v,v]
+        Tq = C @ self.W_t.value          # [B, v, h] query side
+        Kc = C @ self.W_c.value          # [B, v, h] key side
+        E = self._hidden(Tq, Kc) @ self.W_a.value[:, 0] + self.b_a.value[0]  # [B, v, v]
         S = T.sigmoid(E) if self.score_sigmoid else E
         logits = np.where(mask, S, -np.inf)
         Q = T.softmax(logits)            # rows sum to 1 over the attended set
-        A = Q @ C                        # [v, dim]
-        self._cache = (C, mask, H, S, Q)
+        A = Q @ C                        # [B, v, dim]
+        self._cache = (C, mask, Tq, Kc, S, Q)
         self.weights = Q
-        return A.ravel()
+        return A.reshape(A.shape[:-2] + (-1,))
 
     def backward(self, dG):
-        C, mask, H, S, Q = self._cache
-        v, dim = C.shape
-        dA = dG.reshape(v, dim)
-        dC = Q.T @ dA
-        dQ = dA @ C.T
+        C, mask, Tq, Kc, S, Q = self._cache
+        dA = dG.reshape(C.shape)
+        dC = Q.swapaxes(-1, -2) @ dA
+        dQ = dA @ C.swapaxes(-1, -2)
         dS = T.softmax_backward(dQ, Q)
         dE = T.sigmoid_backward(dS, S) if self.score_sigmoid else dS
         dE = np.where(mask, dE, 0.0)
-        self.W_a.grad[:, 0] += np.einsum("tuh,tu->h", H, dE)
+        dim, hidden = self.W_t.shape
+        H = self._hidden(Tq, Kc)
+        self.W_a.grad[:, 0] += dE.reshape(-1) @ H.reshape(-1, hidden)
         self.b_a.grad[0] += dE.sum()
-        dH = dE[:, :, None] * self.W_a.value[:, 0]
-        dPre = dH * (1.0 - H * H)
-        dTq = dPre.sum(axis=1)
-        dKc = dPre.sum(axis=0)
-        self.b_t.grad += dPre.sum(axis=(0, 1))
-        self.W_t.grad += C.T @ dTq
-        self.W_c.grad += C.T @ dKc
+        dPre = H                         # tanh' = 1 - H^2, in H's buffer
+        dPre *= H
+        np.subtract(1.0, dPre, out=dPre)
+        dPre *= dE[..., None]
+        dPre *= self.W_a.value[:, 0]
+        dTq = dPre.sum(axis=-2)
+        dKc = dPre.sum(axis=-3)
+        self.b_t.grad += dPre.reshape(-1, hidden).sum(axis=0)
+        self.W_t.grad += C.reshape(-1, dim).T @ dTq.reshape(-1, hidden)
+        self.W_c.grad += C.reshape(-1, dim).T @ dKc.reshape(-1, hidden)
         dC += dTq @ self.W_t.value.T + dKc @ self.W_c.value.T
         return dC
 
 
 class DenseHead:
-    """Linear map to class logits plus softmax."""
+    """Linear map to class logits plus softmax: [B, n] (or [n]) -> [B, classes]."""
 
     def __init__(self, in_dim, n_classes, rng):
         self.W = Parameter(glorot_uniform(rng, (in_dim, n_classes), in_dim, n_classes))
         self.b = Parameter(np.zeros(n_classes))
 
     def forward(self, G):
-        self._G = G
-        logits = G @ self.W.value + self.b.value
-        self._probs = T.softmax(logits)
-        return self._probs
+        self._cache = G
+        # always a matrix product, so one example gives the same bits alone
+        # as in a batch
+        logits = G.reshape(-1, G.shape[-1]) @ self.W.value + self.b.value
+        return T.softmax(logits).reshape(G.shape[:-1] + (-1,))
 
     def backward(self, dlogits):
         """Takes the gradient at the pre-softmax logits."""
-        self.W.grad += np.outer(self._G, dlogits)
-        self.b.grad += dlogits
-        return dlogits @ self.W.value.T
-
-    def backward_from_probs(self, dprobs):
-        return self.backward(T.softmax_backward(dprobs, self._probs))
+        G = self._cache.reshape(-1, self.W.shape[0])
+        d = dlogits.reshape(-1, self.W.shape[1])
+        self.W.grad += G.T @ d
+        self.b.grad += d.sum(axis=0)
+        return (d @ self.W.value.T).reshape(self._cache.shape)
 
 
 class HCMSModel:
-    """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead."""
+    """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
+    one minibatch from fit_batch per forward and backward."""
 
     def __init__(self, config: ModelConfig, seed=0):
         cfg = config
@@ -244,51 +268,70 @@ class HCMSModel:
         for p in self.parameters().values():
             p.zero_grad()
 
-    def _fit_length(self, ids, lang_onehot):
-        """Right-pad with PAD (or truncate) to the model's fixed length.
+    def fit_batch(self, examples):
+        """Right-pad with PAD (or truncate) (token_ids, lang_onehot_or_None)
+        pairs into one batch: ids [B, L], lang [B, L, 4] (None without
+        lang_features) and lengths [B].
 
-        With global pooling the head width is length-independent, so
-        sequences keep their natural length (padded to the kernel only).
+        With windowed pooling the head needs a fixed width, so L is max_len.
+        With global pooling the head width is length-independent: L is the
+        longest example, and lengths (each example's own length) lets the
+        conv block mask the rest. Both are at least the kernel.
         """
-        if self.config.global_pool:
-            L = max(len(ids), self.config.kernel)
+        cfg = self.config
+        if cfg.global_pool:
+            L = max(cfg.kernel, *(len(ids) for ids, _ in examples))
         else:
-            L = max(self.config.max_len, self.config.kernel)
-        ids = list(ids)[:L]
-        pad = L - len(ids)
-        padded = np.asarray(ids + [0] * pad, dtype=np.int64)
-        lang = None
-        if self.config.lang_features:
-            if lang_onehot is None:
-                lang = np.zeros((L, NUM_LANG_TAGS))
-            else:
-                lang = np.asarray(lang_onehot, dtype=np.float64)[:L]
-                lang = np.vstack([lang, np.zeros((L - lang.shape[0], NUM_LANG_TAGS))])
-        return padded, lang
+            L = max(cfg.max_len, cfg.kernel)
+        ids = np.zeros((len(examples), L), dtype=np.int64)
+        lang = np.zeros((len(examples), L, NUM_LANG_TAGS)) if cfg.lang_features else None
+        lengths = np.empty(len(examples), dtype=np.int64)
+        for b, (tokens, onehot) in enumerate(examples):
+            n = min(len(tokens), L)
+            ids[b, :n] = tokens[:n]
+            if lang is not None and onehot is not None:
+                onehot = np.asarray(onehot, dtype=np.float64)[:L]
+                lang[b, :len(onehot)] = onehot
+            lengths[b] = max(n, cfg.kernel)
+        return ids, lang, lengths
 
-    def forward(self, token_ids, lang_onehot=None):
-        ids, lang = self._fit_length(token_ids, lang_onehot)
+    def forward(self, ids, lang=None, lengths=None):
+        """Class probabilities [B, n_classes] for a batch made by fit_batch.
+
+        One id sequence (with its [len, 4] lang one-hot or None) is the
+        B-less case: it is fitted as a batch of one and gives [n_classes].
+        """
+        if np.ndim(ids) == 1:
+            return self.forward(*self.fit_batch([(ids, lang)]))[0]
         X = self.embedding.forward(ids)
         if lang is not None:
-            X = np.hstack([X, lang])
-        C = self.conv.forward(X)
+            X = np.concatenate([X, lang], axis=-1)
+        C = self.conv.forward(X, lengths)
         if self.attention is not None:
             G = self.attention.forward(C)
         else:
-            G = C.ravel()
+            G = C.reshape(C.shape[0], -1)
         return self.head.forward(G)
 
     def backward(self, dlogits):
-        """Backward from the gradient at the pre-softmax logits."""
+        """Backward from the gradient at the pre-softmax logits, [B, n_classes]
+        (or [n_classes] after a B-less forward)."""
         dG = self.head.backward(dlogits)
         if self.attention is not None:
             dC = self.attention.backward(dG)
         else:
-            dC = dG.reshape(-1, self.config.filters)
+            dC = dG.reshape(dG.shape[0], -1, self.config.filters)
         dX = self.conv.backward(dC)
-        if self.config.lang_features:
-            dX = dX[:, :self.config.embed_dim]
-        self.embedding.backward(dX)
+        self.embedding.backward(dX[..., :self.config.embed_dim])
 
-    def predict(self, token_ids, lang_onehot=None):
-        return int(np.argmax(self.forward(token_ids, lang_onehot)))
+    def predict(self, ids, lang=None, lengths=None):
+        """Argmax class: [B] for a batch, one int for one id sequence.
+
+        Inference runs no backward, so the layers' batch-sized caches are
+        dropped rather than held until the next forward.
+        """
+        labels = np.argmax(self.forward(ids, lang, lengths), axis=-1)
+        for layer in (self.embedding, self.conv, self.attention, self.head):
+            if layer is not None:
+                layer._cache = None
+        return labels

@@ -58,37 +58,60 @@ def matmul_backward(dout, a, b):
 
 
 # ---------------------------------------------------------------------------
-# conv1d: input [u, d], filters [f, k, d], bias [f] -> output [v, f]
+# Sequence ops take any leading batch axes: [..., length, channels]. An
+# unbatched [length, channels] call is the B-less case of the same code.
+#
+# conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
+#
+# Shifted-GEMM form (Chellapilla, Puri & Simard, 2006): the batch is read as
+# one flat [B*u, d] sequence and tap j adds X[j:j+N] @ F[:, j].T to every
+# row, so no window is ever copied (im2col). Rows whose window runs into the
+# next example, or falls between strides, are computed and then dropped.
+
+def _strided(v, stride, start=0):
+    """Slice picking the v positions start, start + stride, ..."""
+    return slice(start, start + stride * (v - 1) + 1, stride)
+
 
 def conv1d(x, filters, bias, stride=1):
     x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
-    u, d = x.shape
+    u, d = x.shape[-2:]
     f, k, fd = filters.shape
     if fd != d:
         raise ShapeError(f"conv1d: input depth {d} != filter depth {fd}")
     if u < k:
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
-    # im2col: windows [v, k*d]
-    idx = np.arange(v)[:, None] * stride + np.arange(k)[None, :]
-    windows = x[idx].reshape(v, k * d)
-    return windows @ filters.reshape(f, k * d).T + bias
+    flat = x.reshape(-1, d)
+    n = flat.shape[0] - k + 1
+    out = np.empty((flat.shape[0], f))  # rows past n are never kept
+    np.matmul(flat[:n], filters[:, 0].T, out=out[:n])
+    tap = np.empty((n, f))
+    for j in range(1, k):
+        out[:n] += np.matmul(flat[j:j + n], filters[:, j].T, out=tap)
+    out = out.reshape(x.shape[:-1] + (f,))[..., _strided(v, stride), :]
+    out += bias
+    return out
 
 
 def conv1d_backward(dout, x, filters, stride=1):
     """Returns (dx, dfilters, dbias) for conv1d."""
     dout = as_tensor(dout)
-    u, d = x.shape
+    d = x.shape[-1]
     f, k, _ = filters.shape
-    v = dout.shape[0]
-    idx = np.arange(v)[:, None] * stride + np.arange(k)[None, :]
-    windows = x[idx].reshape(v, k * d)
-    dbias = dout.sum(axis=0)
-    dfilters = (dout.T @ windows).reshape(f, k, d)
-    dwindows = (dout @ filters.reshape(f, k * d)).reshape(v, k, d)
-    dx = np.zeros_like(x)
-    np.add.at(dx, idx, dwindows)
-    return dx, dfilters, dbias
+    # dout placed on the forward's flat row grid; dropped rows get zero
+    grid = np.zeros(x.shape[:-1] + (f,))
+    grid[..., _strided(dout.shape[-2], stride), :] = dout
+    flat = x.reshape(-1, d)
+    n = flat.shape[0] - k + 1
+    g = grid.reshape(-1, f)[:n]
+    dx = np.zeros_like(flat)
+    dfilters = np.empty_like(filters)
+    for j in range(k):
+        dfilters[:, j] = g.T @ flat[j:j + n]
+        dx[j:j + n] += g @ filters[:, j]
+    dbias = dout.reshape(-1, f).sum(axis=0)
+    return dx.reshape(x.shape), dfilters, dbias
 
 
 # ---------------------------------------------------------------------------
@@ -104,31 +127,34 @@ def relu_backward(dout, x):
 
 
 # ---------------------------------------------------------------------------
-# maxpool1d: input [v, f] -> [v', f], pooling over the sequence axis
-
-def _pool_windows(v, pool, stride):
-    vp = (v - pool) // stride + 1
-    return np.arange(vp)[:, None] * stride + np.arange(pool)[None, :]
-
+# maxpool1d: input [..., v, f] -> [..., v', f], pooling over the sequence axis
 
 def maxpool1d(x, pool, stride):
     x = as_tensor(x)
-    v = x.shape[0]
+    v = x.shape[-2]
     if v < pool:
         raise SequenceTooShortError(f"maxpool1d: length {v} < pool {pool}")
-    idx = _pool_windows(v, pool, stride)
-    return x[idx].max(axis=1)
+    vp = (v - pool) // stride + 1
+    out = x[..., _strided(vp, stride), :].copy()
+    for j in range(1, pool):  # offset j of every window, one strided slice
+        np.maximum(out, x[..., _strided(vp, stride, j), :], out=out)
+    return out
 
 
 def maxpool1d_backward(dout, x, pool, stride):
     dout = as_tensor(dout)
-    v, f = x.shape
-    idx = _pool_windows(v, pool, stride)  # [v', pool]
-    # np.argmax picks the first maximal index, which pins the tie rule.
-    arg = x[idx].argmax(axis=1)  # [v', f]
+    vp = (x.shape[-2] - pool) // stride + 1
+    # a strict > keeps the first maximal offset, which pins the tie rule
+    best = x[..., _strided(vp, stride), :]
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, pool):
+        xj = x[..., _strided(vp, stride, j), :]
+        better = xj > best
+        arg[better] = j
+        best = np.where(better, xj, best)
     dx = np.zeros_like(x)
-    rows = idx[np.arange(idx.shape[0])[:, None], arg]  # [v', f]
-    np.add.at(dx, (rows, np.arange(f)[None, :]), dout)
+    for j in range(pool):
+        dx[..., _strided(vp, stride, j), :] += np.where(arg == j, dout, 0.0)
     return dx
 
 
@@ -179,10 +205,6 @@ def sigmoid(x):
 
 def sigmoid_backward(dout, out):
     return as_tensor(dout) * out * (1.0 - out)
-
-
-def scale(x, c):
-    return as_tensor(x) * c
 
 
 def concat(parts):

@@ -72,9 +72,10 @@ class TrainConfig:
 
 
 def cross_entropy(y_onehot, probs):
-    """-log of the predicted probability at the true class."""
+    """-log of the predicted probability at the true class, summed over the
+    rows of a batch ([B, n] targets and probabilities, or one [n] pair)."""
     y = np.asarray(y_onehot, dtype=np.float64)
-    if not (np.all((y == 0) | (y == 1)) and y.sum() == 1):
+    if not (np.all((y == 0) | (y == 1)) and np.all(y.sum(axis=-1) == 1)):
         raise LabelError(f"target is not one-hot: {y}")
     p = np.maximum(np.asarray(probs, dtype=np.float64), PROB_FLOOR)
     return float(-(y * np.log(p)).sum())
@@ -93,30 +94,42 @@ def cross_entropy_backward(y_onehot, probs):
 
 
 def adam_step(param, cfg: OptimizerConfig):
-    """Standard bias-corrected Adam update; zeroes the gradient afterwards."""
+    """Standard bias-corrected Adam update, in place; zeroes the gradient
+    afterwards."""
     param.step += 1
     g = param.grad
-    param.m = cfg.beta1 * param.m + (1.0 - cfg.beta1) * g
-    param.v = cfg.beta2 * param.v + (1.0 - cfg.beta2) * g * g
-    m_hat = param.m / (1.0 - cfg.beta1 ** param.step)
-    v_hat = param.v / (1.0 - cfg.beta2 ** param.step)
-    param.value -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    param.m *= cfg.beta1
+    param.m += (1.0 - cfg.beta1) * g
+    param.v *= cfg.beta2
+    t = (1.0 - cfg.beta2) * g
+    t *= g
+    param.v += t
+    # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t and
+    # in the gradient buffer, which is zeroed afterwards
+    np.divide(param.v, 1.0 - cfg.beta2 ** param.step, out=t)
+    np.sqrt(t, out=t)
+    t += cfg.epsilon
+    np.divide(param.m, 1.0 - cfg.beta1 ** param.step, out=g)
+    g *= cfg.lr
+    g /= t
+    param.value -= g
     param.zero_grad()
 
 
-def _one_hot(label, n):
-    y = np.zeros(n)
-    y[label] = 1.0
-    return y
+def predict(model, data, batch_size):
+    """Predicted labels over encoded examples, batch_size at a time (which
+    bounds the attention layer's [B, v, v, hidden] tensor)."""
+    preds = []
+    for start in range(0, len(data), batch_size):
+        chunk = data[start:start + batch_size]
+        preds.extend(model.predict(*model.fit_batch(
+            [(ids, lang) for ids, lang, *_ in chunk])).tolist())
+    return preds
 
 
-def evaluate(model, data):
+def evaluate(model, data, batch_size=TrainConfig.batch_size):
     """Returns (true_labels, predicted_labels) over encoded examples."""
-    trues, preds = [], []
-    for ids, lang, label in data:
-        preds.append(model.predict(ids, lang))
-        trues.append(label)
-    return trues, preds
+    return [label for *_, label in data], predict(model, data, batch_size)
 
 
 def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
@@ -135,25 +148,24 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     best_f1, best_snapshot = -1.0, None
     log = []
     order = np.arange(len(train_data))
+    model.zero_grad()  # adam_step leaves every gradient zeroed after this
     for epoch in range(1, tcfg.epochs + 1):
         if tcfg.shuffle:
             rng.shuffle(order)
         total_loss = 0.0
         for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start:start + tcfg.batch_size]
-            model.zero_grad()
-            for i in batch:
-                ids, lang, label = train_data[i]
-                probs = model.forward(ids, lang)
-                y = _one_hot(label, n_classes)
-                total_loss += cross_entropy(y, probs)
-                # mean over the batch so lr is batch-size-insensitive
-                model.backward(cross_entropy_softmax_grad(y, probs) / len(batch))
+            batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
+            ids, lang, lengths = model.fit_batch([(x, l) for x, l, _ in batch])
+            y = np.eye(n_classes)[[label for *_, label in batch]]
+            probs = model.forward(ids, lang, lengths)
+            total_loss += cross_entropy(y, probs)
+            # mean over the batch so lr is batch-size-insensitive
+            model.backward(cross_entropy_softmax_grad(y, probs) / len(batch))
             for p in params.values():
                 adam_step(p, ocfg)
         entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
         if val_data:
-            trues, preds = evaluate(model, val_data)
+            trues, preds = evaluate(model, val_data, tcfg.batch_size)
             report = score(trues, preds, n_classes)
             entry["val_f1"] = report.weighted_f1
             entry["val_acc"] = report.accuracy

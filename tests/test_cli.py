@@ -83,6 +83,18 @@ def test_predict_line_count(corpus_files, trained, tmp_path):
         assert label in ("positive", "negative", "neutral")
 
 
+def test_predict_independent_of_batch_size(corpus_files, trained, tmp_path):
+    outs = []
+    for name, extra in (("default", []), ("one", ["--set", "batch_size=1"])):
+        out = tmp_path / name
+        code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                     "--input", str(corpus_files / "unlabeled.conll"),
+                     "--out-dir", str(out), *extra])
+        assert code == 0
+        outs.append((out / "predictions.tsv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_stats(corpus_files, tmp_path):
     code = main(["stats", "--input", str(corpus_files / "train.conll"),
                  "--out-dir", str(tmp_path)])
@@ -124,6 +136,13 @@ def test_bad_checkpoint_exit_code(corpus_files, tmp_path):
 def test_bad_config_key_exit_code(corpus_files, tmp_path):
     code = main(["stats", "--input", str(corpus_files / "train.conll"),
                  "--out-dir", str(tmp_path), "--set", "nonsense=1"])
+    assert code == 5
+
+
+def test_lang_features_key_rejected(corpus_files, tmp_path):
+    # append_lang_onehot is the one switch; lang_features is not a key
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--out-dir", str(tmp_path), "--set", "lang_features=true", *FAST])
     assert code == 5
 
 

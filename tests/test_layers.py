@@ -286,3 +286,85 @@ def test_lang_feature_model(rng):
     m.zero_grad()
     m.backward(cross_entropy_softmax_grad(np.array([1.0, 0, 0]), p))
     assert np.all(m.embedding.table.grad[0] == 0)
+
+
+# ---------------------------------------------------------------------------
+# batched model: one [B, ...] pass equals the per-example passes
+
+BATCH_CONFIGS = {
+    "default_shape": dict(pool_stride=2),
+    "global_pool": dict(global_pool=True, include_self=True),
+    "lang_features": dict(lang_features=True),
+    "stride_2": dict(stride=2, pool_stride=2),
+    "overlapping_pool": dict(pool=3, pool_stride=1),
+    "attention_disabled": dict(attention_enabled=False),
+}
+
+
+def _ragged_batch(rng, cfg):
+    """Three examples of different lengths, one shorter than the kernel
+    and one longer than max_len. No token repeats within an example, which
+    keeps two pooled windows from tying by chance."""
+    examples = []
+    for n in (1, 5, 11):
+        onehot = np.eye(4)[rng.integers(4, size=n)] if cfg.lang_features else None
+        examples.append((list(rng.choice(np.arange(2, 20), size=n, replace=False)), onehot))
+    return examples, np.eye(3)[[0, 2, 1]]
+
+
+@pytest.mark.parametrize("overrides", BATCH_CONFIGS.values(), ids=BATCH_CONFIGS)
+def test_batched_matches_stacked(rng, overrides):
+    m = HCMSModel(tiny_config(**overrides), seed=6)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    examples, Y = _ragged_batch(rng, m.config)
+    params = m.parameters()
+
+    probs, grads = [], {k: np.zeros(p.shape) for k, p in params.items()}
+    for (ids, onehot), y in zip(examples, Y):
+        m.zero_grad()
+        probs.append(m.forward(ids, onehot))
+        m.backward(cross_entropy_softmax_grad(y, probs[-1]))
+        for k, p in params.items():
+            grads[k] += p.grad
+
+    m.zero_grad()
+    P = m.forward(*m.fit_batch(examples))
+    m.backward(cross_entropy_softmax_grad(Y, P))
+    assert_close(P, np.stack(probs), rtol=0, atol=1e-12)
+    for k, p in params.items():
+        assert_close(p.grad, grads[k], rtol=0, atol=1e-12)
+
+
+def test_global_pool_masks_padding(rng):
+    # windows over padding alone output the bias, which here beats every
+    # real window: the batch matches the examples run alone only if the
+    # padding is masked out of the max
+    m = HCMSModel(tiny_config(global_pool=True, attention_enabled=False), seed=6)
+    m.conv.bias.value[:] = 1.0
+    m.conv.filters.value[:] = np.abs(m.conv.filters.value)
+    m.embedding.table.value[1:] = -np.abs(m.embedding.table.value[1:])
+    examples, _ = _ragged_batch(rng, m.config)
+    P = m.forward(*m.fit_batch(examples))
+    assert_close(P, np.stack([m.forward(ids) for ids, _ in examples]), rtol=0, atol=1e-12)
+
+
+def test_batched_loss_gradcheck(rng):
+    m = HCMSModel(tiny_config(), seed=8)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)  # off the ReLU kink
+    examples, Y = _ragged_batch(rng, m.config)
+    batch = m.fit_batch(examples)
+
+    m.zero_grad()
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    for name, par in m.parameters().items():
+        def f(a, par=par):
+            saved = par.value.copy()
+            par.value[...] = a
+            out = cross_entropy(Y, m.forward(*batch))
+            par.value[...] = saved
+            return out
+
+        numeric = central_diff(f, par.value.copy())
+        if name == "embedding.table":
+            numeric[0] = 0.0  # PAD row is frozen by design
+        assert_close(par.grad, numeric, rtol=1e-3)
