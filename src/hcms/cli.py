@@ -14,9 +14,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .corpus import (CleaningConfig, ConllParseError, LABELS, build_vocab,
-                     clean_corpus, corpus_stats, encode_corpus, format_stats,
-                     format_stats_kv, read_conll_file, serialize_conll)
+from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
+                     build_vocab, clean, clean_corpus, corpus_stats, encode,
+                     encode_corpus, format_stats, format_stats_kv,
+                     read_conll_file, serialize_conll)
 from .layers import HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, OptimizerConfig, TrainConfig, evaluate,
@@ -180,7 +181,6 @@ def _load_for_inference(checkpoint):
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
     model, vocab_tokens, extra = load_checkpoint(p)
-    from .corpus import Vocabulary
     vocab = Vocabulary.from_tokens(vocab_tokens)
     cleaning = CleaningConfig.from_dict(extra.get("cleaning", {}))
     return model, vocab, cleaning
@@ -208,16 +208,20 @@ def cmd_predict(args):
     out.mkdir(parents=True, exist_ok=True)
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
     records, _ = _load_corpus(args.input)
-    data = []
-    from .corpus import clean, encode
-    for rec in records:
-        cleaned = clean(rec, cleaning)
-        if cleaned is None:
-            data.append(([1], None))  # all tokens cleaned away: predict on UNK
-        else:
-            data.append(encode(cleaned, vocab, cleaning))
-    preds = predict(model, data, cfg["batch_size"])
-    lines = [f"{rec.id}\t{LABELS[p]}" for rec, p in zip(records, preds)]
+    # cleaned and encoded one chunk at a time, so only the parsed records
+    # and the token memo grow with the input
+    size, memo, lines = cfg["batch_size"], {}, []
+    for start in range(0, len(records), size):
+        chunk = records[start:start + size]
+        data = []
+        for rec in chunk:
+            cleaned = clean(rec, cleaning, memo)
+            if cleaned is None:
+                data.append(([UNK], None))  # all tokens cleaned away
+            else:
+                data.append(encode(cleaned, vocab, cleaning))
+        preds = predict(model, data, size)
+        lines.extend(f"{rec.id}\t{LABELS[p]}" for rec, p in zip(chunk, preds))
     (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_config(cfg, out)
     return EXIT_OK

@@ -173,33 +173,50 @@ def _lookup(table, token):
     return table.get(token.lower())
 
 
-def clean(record, cfg: CleaningConfig):
-    """Apply the enabled cleaning steps in their fixed order.
+def _clean_token(tok, cfg):
+    """The pieces one raw token cleans to; () when it is stripped.
 
     Order: lowercase, link strip, username strip, hashtag strip, emoji
-    replace, contraction expand, repeat collapse. Returns a new record,
-    or None when no tokens survive.
+    replace, contraction expand, repeat collapse.
+    """
+    if cfg.lowercase:
+        tok = tok.lower()
+    tok = _strip_token(tok, cfg)
+    if tok is None:
+        return ()
+    pieces = [tok]
+    if cfg.replace_emoji:
+        repl = _lookup(EMOJI_MAP, tok)
+        if repl is not None:
+            pieces = list(repl)
+    if cfg.expand_contractions:
+        expanded = []
+        for piece in pieces:
+            repl = _lookup(CONTRACTIONS, piece)
+            expanded.extend(repl if repl is not None else [piece])
+        pieces = expanded
+    if cfg.collapse_repeats:
+        pieces = [_REPEAT_RE.sub(r"\1\1", p) for p in pieces]
+    return tuple(pieces)
+
+
+def clean(record, cfg: CleaningConfig, memo=None):
+    """Apply the enabled cleaning steps to every token of a record.
+
+    Returns a new record, or None when no tokens survive. A token cleans
+    the same way wherever it occurs, so a caller cleaning many records
+    with one cfg can pass one memo dict (raw token -> pieces) to every
+    call and clean each distinct token once; a memo must never be shared
+    between different cfgs.
     """
     tokens, tags = [], []
     for tok, tag in zip(record.tokens, record.lang_tags):
-        if cfg.lowercase:
-            tok = tok.lower()
-        tok = _strip_token(tok, cfg)
-        if tok is None:
-            continue
-        pieces = [tok]
-        if cfg.replace_emoji:
-            repl = _lookup(EMOJI_MAP, tok)
-            if repl is not None:
-                pieces = list(repl)
-        if cfg.expand_contractions:
-            expanded = []
-            for piece in pieces:
-                repl = _lookup(CONTRACTIONS, piece)
-                expanded.extend(repl if repl is not None else [piece])
-            pieces = expanded
-        if cfg.collapse_repeats:
-            pieces = [_REPEAT_RE.sub(r"\1\1", p) for p in pieces]
+        if memo is None:
+            pieces = _clean_token(tok, cfg)
+        else:
+            pieces = memo.get(tok)
+            if pieces is None:
+                pieces = memo[tok] = _clean_token(tok, cfg)
         tokens.extend(pieces)
         tags.extend([tag] * len(pieces))
     if not tokens:
@@ -209,9 +226,9 @@ def clean(record, cfg: CleaningConfig):
 
 def clean_corpus(records, cfg: CleaningConfig):
     """Clean every record; returns (cleaned_records, dropped_count)."""
-    cleaned, dropped = [], 0
+    cleaned, dropped, memo = [], 0, {}
     for rec in records:
-        out = clean(rec, cfg)
+        out = clean(rec, cfg, memo)
         if out is None:
             dropped += 1
         else:

@@ -78,9 +78,21 @@ class EmbeddingLayer:
         return self.table.value[ids]
 
     def backward(self, dX):
-        ids = self._cache
-        keep = ids != 0  # PAD never receives gradient
-        np.add.at(self.table.grad, ids[keep], dX[keep])
+        """Sums the rows of dX that share a token id (sorted into runs, one
+        reduceat) and adds each sum to its table row once."""
+        ids = self._cache.reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        run_ids = ids[order]
+        first = run_ids.searchsorted(1)  # PAD sorts first and gets no gradient
+        if first == run_ids.size:
+            return
+        order, run_ids = order[first:], run_ids[first:]
+        is_start = np.empty(run_ids.size, dtype=bool)
+        is_start[0] = True
+        np.not_equal(run_ids[1:], run_ids[:-1], out=is_start[1:])
+        starts = np.flatnonzero(is_start)
+        rows = dX.reshape(-1, dX.shape[-1])[order]
+        self.table.grad[run_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
 
 
 class ConvBlock:

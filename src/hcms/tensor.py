@@ -42,35 +42,43 @@ class Parameter:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def matmul_backward(dout, a, b):
-    """Returns (dA, dB) for out = a @ b."""
-    dout = as_tensor(dout)
-    return dout @ b.T, a.T @ dout
-
-
-# ---------------------------------------------------------------------------
 # Sequence ops take any leading batch axes: [..., length, channels]. An
 # unbatched [length, channels] call is the B-less case of the same code.
 #
 # conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
 #
-# Shifted-GEMM form (Chellapilla, Puri & Simard, 2006): the batch is read as
-# one flat [B*u, d] sequence and tap j adds X[j:j+N] @ F[:, j].T to every
-# row, so no window is ever copied (im2col). Rows whose window runs into the
-# next example, or falls between strides, are computed and then dropped.
+# Unrolled (im2col) form of Chellapilla, Puri & Simard (2006): each output
+# row's window of k input rows is laid out as one row of k*d values, and one
+# GEMM against filters.reshape(f, k*d) gives every output row at once. Only
+# the v kept windows of each example are gathered, so no window that crosses
+# into the next example or falls between strides is ever computed. Examples
+# are walked in blocks of about _BLOCK_ROWS windows, so that one block's
+# windows stay in cache between the gather and the GEMM (Goto & van de Geijn,
+# 2008); the backward gathers each block again rather than keeping a
+# batch-sized window buffer alive between the passes.
+
+_BLOCK_ROWS = 256
+
 
 def _strided(v, stride, start=0):
     """Slice picking the v positions start, start + stride, ..."""
     return slice(start, start + stride * (v - 1) + 1, stride)
+
+
+def _blocks(n, v):
+    """Splits n examples of v windows each into (start, stop) ranges of
+    about _BLOCK_ROWS windows; returns (largest range size, ranges)."""
+    per = max(1, _BLOCK_ROWS // v)
+    return min(per, n), [(s, min(s + per, n)) for s in range(0, n, per)]
+
+
+def _windows(x, k, stride, v, out):
+    """Gather the v kept windows of each example x [n, u, d] into out
+    [n, v, k*d] with k strided slice copies; returns out as [n*v, k*d]."""
+    d = x.shape[-1]
+    for j in range(k):
+        out[:, :, j * d:(j + 1) * d] = x[:, _strided(v, stride, j)]
+    return out.reshape(-1, k * d)
 
 
 def conv1d(x, filters, bias, stride=1):
@@ -82,36 +90,41 @@ def conv1d(x, filters, bias, stride=1):
     if u < k:
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
-    flat = x.reshape(-1, d)
-    n = flat.shape[0] - k + 1
-    out = np.empty((flat.shape[0], f))  # rows past n are never kept
-    np.matmul(flat[:n], filters[:, 0].T, out=out[:n])
-    tap = np.empty((n, f))
-    for j in range(1, k):
-        out[:n] += np.matmul(flat[j:j + n], filters[:, j].T, out=tap)
-    out = out.reshape(x.shape[:-1] + (f,))[..., _strided(v, stride), :]
-    out += bias
-    return out
+    xs = x.reshape(-1, u, d)
+    W = filters.reshape(f, k * d)
+    out = np.empty((xs.shape[0], v, f))
+    per, blocks = _blocks(xs.shape[0], v)
+    cols = np.empty((per, v, k * d))
+    for s, e in blocks:
+        block = out[s:e].reshape(-1, f)
+        np.matmul(_windows(xs[s:e], k, stride, v, cols[:e - s]), W.T, out=block)
+        block += bias
+    return out.reshape(x.shape[:-2] + (v, f))
 
 
 def conv1d_backward(dout, x, filters, stride=1):
     """Returns (dx, dfilters, dbias) for conv1d."""
-    dout = as_tensor(dout)
-    d = x.shape[-1]
+    dout, x = as_tensor(dout), as_tensor(x)
+    u, d = x.shape[-2:]
     f, k, _ = filters.shape
-    # dout placed on the forward's flat row grid; dropped rows get zero
-    grid = np.zeros(x.shape[:-1] + (f,))
-    grid[..., _strided(dout.shape[-2], stride), :] = dout
-    flat = x.reshape(-1, d)
-    n = flat.shape[0] - k + 1
-    g = grid.reshape(-1, f)[:n]
-    dx = np.zeros_like(flat)
-    dfilters = np.empty_like(filters)
-    for j in range(k):
-        dfilters[:, j] = g.T @ flat[j:j + n]
-        dx[j:j + n] += g @ filters[:, j]
-    dbias = dout.reshape(-1, f).sum(axis=0)
-    return dx.reshape(x.shape), dfilters, dbias
+    v = dout.shape[-2]
+    xs = x.reshape(-1, u, d)
+    g_all = dout.reshape(-1, v, f)
+    W = filters.reshape(f, k * d)
+    dx = np.zeros_like(xs)
+    dW = np.zeros((f, k * d))
+    per, blocks = _blocks(xs.shape[0], v)
+    cols, dcols = np.empty((per, v, k * d)), np.empty((per * v, k * d))
+    part = np.empty_like(dW)
+    for s, e in blocks:
+        c = _windows(xs[s:e], k, stride, v, cols[:e - s])
+        g = g_all[s:e].reshape(-1, f)
+        dW += np.matmul(g.T, c, out=part)
+        dc = np.matmul(g, W, out=dcols[:len(g)]).reshape(e - s, v, k * d)
+        for j in range(k):
+            dx[s:e, _strided(v, stride, j)] += dc[:, :, j * d:(j + 1) * d]
+    dbias = g_all.reshape(-1, f).sum(axis=0)
+    return dx.reshape(x.shape), dW.reshape(f, k, d), dbias
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +191,6 @@ def softmax_backward(dout, probs):
 # ---------------------------------------------------------------------------
 # elementwise suite
 
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return a + b
-
-
-def tanh(x):
-    return np.tanh(as_tensor(x))
-
-
-def tanh_backward(dout, out):
-    return as_tensor(dout) * (1.0 - out * out)
-
-
 def sigmoid(x):
     x = as_tensor(x)
     out = np.empty_like(x)
@@ -205,21 +203,3 @@ def sigmoid(x):
 
 def sigmoid_backward(dout, out):
     return as_tensor(dout) * out * (1.0 - out)
-
-
-def concat(parts):
-    """Concatenate 1-D segments into one flat vector."""
-    return np.concatenate([as_tensor(p).ravel() for p in parts])
-
-
-def concat_backward(dout, lengths):
-    """Split the upstream gradient back into the original segments."""
-    dout = as_tensor(dout)
-    if dout.size != sum(lengths):
-        raise ShapeError(
-            f"concat_backward: gradient size {dout.size} != sum of segments {sum(lengths)}")
-    out, off = [], 0
-    for n in lengths:
-        out.append(dout[off:off + n])
-        off += n
-    return out

@@ -86,13 +86,6 @@ def cross_entropy_softmax_grad(y_onehot, probs):
     return np.asarray(probs, dtype=np.float64) - np.asarray(y_onehot, dtype=np.float64)
 
 
-def cross_entropy_backward(y_onehot, probs):
-    """Gradient of the loss w.r.t. the probabilities themselves."""
-    y = np.asarray(y_onehot, dtype=np.float64)
-    p = np.maximum(np.asarray(probs, dtype=np.float64), PROB_FLOOR)
-    return -y / p
-
-
 def adam_step(param, cfg: OptimizerConfig):
     """Standard bias-corrected Adam update, in place; zeroes the gradient
     afterwards."""

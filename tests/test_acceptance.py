@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hcms import tensor as T
+import extra_ops as T
 from hcms.cli import main, train_and_test_f1
 from hcms.corpus import (CleaningConfig, build_vocab, clean, clean_corpus,
                          encode_corpus, parse_conll, serialize_conll)
@@ -20,10 +20,10 @@ from hcms.metrics import score
 from hcms.synthetic import (load_mini_corpus, make_long_range_corpus,
                             make_mini_corpus)
 from hcms.train import (OptimizerConfig, Parameter, TrainConfig, adam_step,
-                        cross_entropy, cross_entropy_backward,
-                        cross_entropy_softmax_grad, evaluate, load_checkpoint,
-                        save_checkpoint, train)
+                        cross_entropy, cross_entropy_softmax_grad, evaluate,
+                        load_checkpoint, save_checkpoint, train)
 from conftest import assert_close, central_diff
+from extra_ops import cross_entropy_backward
 from test_corpus import _random_records
 from test_layers import attention_oracle
 from test_metrics import oracle as metrics_oracle

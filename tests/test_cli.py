@@ -1,8 +1,10 @@
 import pytest
 
 from hcms.cli import main
-from hcms.corpus import parse_conll, serialize_conll
+from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, clean, encode,
+                         parse_conll, serialize_conll)
 from hcms.synthetic import load_mini_corpus
+from hcms.train import load_checkpoint
 
 FAST = ["--set", "embed_dim=12", "--set", "filters=6", "--set", "kernel=3",
         "--set", "attn_hidden=6", "--set", "max_len=16", "--set", "epochs=4",
@@ -93,6 +95,31 @@ def test_predict_independent_of_batch_size(corpus_files, trained, tmp_path):
         assert code == 0
         outs.append((out / "predictions.tsv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
+    # 11 records in chunks of 4; record 5, mid-chunk, cleans to nothing
+    records = parse_conll((corpus_files / "unlabeled.conll").read_text(encoding="utf-8"))[0]
+    records = [type(r)(id=f"r{i}", tokens=r.tokens, lang_tags=r.lang_tags)
+               for i, r in enumerate(records + records[:1])]
+    records[5] = type(records[5])(id="r5", tokens=["@user", "http://t.co/x", "#"],
+                                  lang_tags=["O", "O", "O"])
+    path = tmp_path / "in.conll"
+    path.write_text(serialize_conll(records), encoding="utf-8")
+    code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                 "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                 "--set", "batch_size=4"])
+    assert code == 0
+    model, tokens, extra = load_checkpoint(trained / "model.ckpt")
+    vocab, cfg = Vocabulary.from_tokens(tokens), CleaningConfig.from_dict(extra["cleaning"])
+    assert clean(records[5], cfg) is None
+    expected = []
+    for r in records:
+        cleaned = clean(r, cfg)
+        ids, lang = encode(cleaned, vocab, cfg) if cleaned else ([UNK], None)
+        expected.append(f"{r.id}\t{LABELS[model.predict(ids, lang)]}")
+    lines = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines == expected
 
 
 def test_stats(corpus_files, tmp_path):

@@ -116,6 +116,19 @@ def test_record_dropped_when_empty():
     assert dropped == 1 and len(cleaned) == 1
 
 
+@pytest.mark.parametrize("emoji", [True, False])
+@pytest.mark.parametrize("contractions", [True, False])
+def test_memoized_clean_corpus_matches_per_token(emoji, contractions):
+    # the flags `hcms ablate` toggles; clean() without a memo cleans every
+    # token afresh
+    cfg = CleaningConfig(replace_emoji=emoji, expand_contractions=contractions)
+    records = load_mini_corpus()
+    fresh = [clean(r, cfg) for r in records]
+    cleaned, dropped = clean_corpus(records, cfg)
+    assert cleaned == [r for r in fresh if r is not None]
+    assert dropped == fresh.count(None)
+
+
 def _random_records(n, seed):
     rng = np.random.default_rng(seed)
     alphabet = list("abcdef#@:)('") + ["😂", "❤️", "'"]

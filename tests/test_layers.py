@@ -64,6 +64,21 @@ def test_embed_backward_skips_pad(rng):
     assert np.all(layer.table.grad[2] == 2)
 
 
+def test_embed_backward_matches_scatter(rng):
+    # reference: one np.add.at scatter of every non-PAD row
+    layer = EmbeddingLayer(6, 3, rng)
+    ids = rng.integers(0, 6, size=(4, 9))
+    dX = rng.uniform(-1, 1, size=(4, 9, 3))
+    want = np.zeros_like(layer.table.grad)
+    np.add.at(want, ids[ids != 0], dX[ids != 0])
+    layer.forward(ids)
+    layer.backward(dX)
+    assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
+    layer.forward(np.zeros((2, 5), dtype=np.int64))  # all PAD: no gradient
+    layer.backward(dX[:2, :5])
+    assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # conv block
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hcms import tensor as T
+import extra_ops as T
 from conftest import assert_close, central_diff
+from hcms.tensor import _BLOCK_ROWS
 
 N_TRIALS = 100
 
@@ -88,6 +89,56 @@ def test_conv1d_gradcheck(rng, stride):
         assert_close(dx, central_diff(lambda a: float((T.conv1d(a, f, b, stride) * w).sum()), x))
         assert_close(df, central_diff(lambda a: float((T.conv1d(x, a, b, stride) * w).sum()), f))
         assert_close(db, central_diff(lambda a: float((T.conv1d(x, f, a, stride) * w).sum()), b))
+
+
+def conv1d_oracle(x, filters, bias, dout, stride):
+    """conv1d output and (dx, dfilters, dbias) at dout, one window at a time."""
+    k = filters.shape[1]
+    out, dx, df = np.empty(dout.shape), np.zeros_like(x), np.zeros_like(filters)
+    for b in np.ndindex(x.shape[:-2]):
+        for i in range(dout.shape[-2]):
+            window = x[b][i * stride:i * stride + k]
+            out[b][i] = (filters * window).sum(axis=(1, 2)) + bias
+            dx[b][i * stride:i * stride + k] += np.tensordot(dout[b][i], filters, axes=1)
+            df += dout[b][i][:, None, None] * window
+    return out, (dx, df, dout.reshape(-1, filters.shape[0]).sum(axis=0))
+
+
+def several_blocks(v):
+    """Leading axes of a batch of two full conv1d blocks and a short third."""
+    return (2 * max(1, _BLOCK_ROWS // v) + 3,)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3), several_blocks],
+                         ids=["unbatched", "batch", "two_axes", "blocks"])
+def test_conv1d_matches_window_loop(rng, stride, lead):
+    u, k, d, f = 10, 3, 4, 3
+    v = (u - k) // stride + 1
+    lead = lead(v) if callable(lead) else lead
+    x = rng.uniform(-1, 1, size=lead + (u, d))
+    filters = rng.uniform(-1, 1, size=(f, k, d))
+    bias = rng.uniform(-1, 1, size=f)
+    dout = rng.uniform(-1, 1, size=lead + (v, f))
+    out, grads = conv1d_oracle(x, filters, bias, dout, stride)
+    assert_close(T.conv1d(x, filters, bias, stride), out, rtol=1e-12, atol=1e-12)
+    for got, want in zip(T.conv1d_backward(dout, x, filters, stride), grads):
+        assert got.shape == want.shape
+        assert_close(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_gradcheck_across_blocks(rng):
+    u, k, d, nf, stride = 7, 2, 2, 2, 3
+    v = (u - k) // stride + 1
+    lead = several_blocks(v)
+    x = rng.uniform(-2, 2, size=lead + (u, d))
+    f = rng.uniform(-2, 2, size=(nf, k, d))
+    b = rng.uniform(-2, 2, size=nf)
+    w = rng.uniform(-1, 1, size=lead + (v, nf))
+    dx, df, db = T.conv1d_backward(w, x, f, stride)
+    assert_close(dx, central_diff(lambda a: float((T.conv1d(a, f, b, stride) * w).sum()), x))
+    assert_close(df, central_diff(lambda a: float((T.conv1d(x, a, b, stride) * w).sum()), f))
+    assert_close(db, central_diff(lambda a: float((T.conv1d(x, f, a, stride) * w).sum()), b))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from hcms.layers import HCMSModel, ModelConfig
 from hcms.train import (CheckpointCorruptError, CheckpointShapeError,
                         CheckpointVersionError, DataError, LabelError,
                         OptimizerConfig, Parameter, TrainConfig, adam_step,
-                        cross_entropy, cross_entropy_backward,
-                        cross_entropy_softmax_grad, load_checkpoint,
-                        save_checkpoint, train)
+                        cross_entropy, cross_entropy_softmax_grad,
+                        load_checkpoint, save_checkpoint, train)
 from conftest import assert_close
+from extra_ops import cross_entropy_backward
 
 DEFAULT_OPT = OptimizerConfig(lr=0.01, beta1=0.9, beta2=0.99, epsilon=1e-7)
 
