@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 missing/unreadable file, 3 corpus parse error,
 """
 
 import argparse
+import functools
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -91,7 +93,35 @@ def load_run_config(config_path=None, overrides=(), seed=None):
         cfg[key.strip()] = _coerce(key.strip(), value, cfg)
     if seed is not None:
         cfg["seed"] = seed
+    _validate(cfg)
     return cfg
+
+
+POSITIVE_KEYS = ("kernel", "stride", "pool", "pool_stride", "embed_dim", "filters",
+                 "attn_hidden", "batch_size", "epochs")
+
+
+def _validate(cfg):
+    """Raise ConfigError unless cfg describes a model and a run that can train."""
+    def check(ok, message):
+        if not ok:
+            raise ConfigError(message)
+
+    for key in POSITIVE_KEYS:
+        check(cfg[key] >= 1, f"{key} must be at least 1, got {cfg[key]}")
+    k, L = cfg["kernel"], max(cfg["max_len"], cfg["kernel"])
+    conv = (L - k) // cfg["stride"] + 1
+    pooled = 1 if cfg["global_pool"] else (conv - cfg["pool"]) // cfg["pool_stride"] + 1
+    need = 2 if cfg["attention_enabled"] and not cfg["include_self"] else 1
+    check(pooled >= need, f"max_len {cfg['max_len']} gives {pooled} pooled position(s), "
+                          f"the model needs {need}")
+    check(cfg["n_classes"] == len(LABELS),
+          f"n_classes must be {len(LABELS)}, got {cfg['n_classes']}")
+    for key in ("lr", "epsilon"):
+        check(math.isfinite(cfg[key]) and cfg[key] > 0,
+              f"{key} must be finite and positive, got {cfg[key]}")
+    for key in ("beta1", "beta2"):
+        check(0 <= cfg[key] < 1, f"{key} must be in [0, 1), got {cfg[key]}")
 
 
 def _write_config(cfg, out_dir):
@@ -123,18 +153,29 @@ def _load_corpus(path, strict=False):
 
 
 def _prepare(path, cleaning):
-    records, skipped = _load_corpus(path)
-    cleaned, dropped = clean_corpus(records, cleaning)
-    return cleaned, skipped, dropped
+    """The cleaned records of a corpus file."""
+    return clean_corpus(_load_corpus(path)[0], cleaning)[0]
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_preprocess(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _command(body):
+    """cmd(args) that loads and validates the run configuration, makes the
+    output directory, runs body(args, cfg, out) and then writes config.txt."""
+    @functools.wraps(body)
+    def cmd(args):
+        cfg = load_run_config(args.config, args.set, args.seed)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        body(args, cfg, out)
+        _write_config(cfg, out)
+        return EXIT_OK
+    return cmd
+
+
+@_command
+def cmd_preprocess(args, cfg, out):
     cleaning = CleaningConfig.from_dict(cfg)
     records, skipped = _load_corpus(args.input, strict=args.strict)
     cleaned, dropped = clean_corpus(records, cleaning)
@@ -144,36 +185,29 @@ def cmd_preprocess(args):
               f"dropped_empty_after_cleaning = {dropped}"]
     report += [f"skipped_line_{s['line']} = {s['reason']}" for s in skipped]
     (out / "skip_report.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
 def _train_once(cfg, train_path, val_path, out_dir=None):
     cleaning, tcfg, ocfg = _split_configs(cfg)
-    train_recs, _, _ = _prepare(train_path, cleaning)
-    val_recs, _, _ = _prepare(val_path, cleaning) if val_path else ([], None, 0)
+    train_recs = _prepare(train_path, cleaning)
+    val_recs = _prepare(val_path, cleaning) if val_path else []
     vocab = build_vocab(train_recs, min_count=1)
     train_data = encode_corpus(train_recs, vocab, cleaning)
     val_data = encode_corpus(val_recs, vocab, cleaning)
     model = HCMSModel(_model_config(cfg, len(vocab)), seed=cfg["seed"])
     log = train(model, train_data, val_data, tcfg, ocfg)
     if out_dir:
-        out = Path(out_dir)
-        (out / "epochs.log").write_text(
+        (out_dir / "epochs.log").write_text(
             "\n".join(format_epoch(e) for e in log) + "\n", encoding="utf-8")
-        save_checkpoint(model, vocab.index_to_token, out / "model.ckpt",
+        save_checkpoint(model, vocab.index_to_token, out_dir / "model.ckpt",
                         extra_config={"cleaning": cleaning.to_dict(),
                                       "labels": list(LABELS)})
     return model, vocab, cleaning, log
 
 
-def cmd_train(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+@_command
+def cmd_train(args, cfg, out):
     _train_once(cfg, args.train, args.val, out_dir=out)
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
 def _load_for_inference(checkpoint):
@@ -186,10 +220,8 @@ def _load_for_inference(checkpoint):
     return model, vocab, cleaning
 
 
-def cmd_eval(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+@_command
+def cmd_eval(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
     records, _ = _load_corpus(args.input)
     cleaned, _ = clean_corpus([r for r in records if r.label is not None], cleaning)
@@ -198,14 +230,10 @@ def cmd_eval(args):
     report = score(trues, preds, model.config.n_classes)
     (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
     (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
-def cmd_predict(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+@_command
+def cmd_predict(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
     records, _ = _load_corpus(args.input)
     # cleaned and encoded one chunk at a time, so only the parsed records
@@ -223,27 +251,20 @@ def cmd_predict(args):
         preds = predict(model, data, size)
         lines.extend(f"{rec.id}\t{LABELS[p]}" for rec, p in zip(chunk, preds))
     (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
-def cmd_stats(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+@_command
+def cmd_stats(args, cfg, out):
     records, _ = _load_corpus(args.input)
     stats = corpus_stats(records)
     (out / "stats.txt").write_text(format_stats(stats) + "\n", encoding="utf-8")
     (out / "stats.kv").write_text(format_stats_kv(stats) + "\n", encoding="utf-8")
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
 def train_and_test_f1(cfg, train_path, val_path, test_path):
     """Train one configuration and return its test weighted F1."""
     model, vocab, cleaning, _ = _train_once(cfg, train_path, val_path)
-    test_recs, _, _ = _prepare(test_path, cleaning)
-    data = encode_corpus(test_recs, vocab, cleaning)
+    data = encode_corpus(_prepare(test_path, cleaning), vocab, cleaning)
     trues, preds = evaluate(model, data, cfg["batch_size"])
     return score(trues, preds, model.config.n_classes).weighted_f1
 
@@ -270,15 +291,11 @@ def run_ablation(cfg, train_path, val_path, test_path):
     return rows
 
 
-def cmd_ablate(args):
-    cfg = load_run_config(args.config, args.set, args.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+@_command
+def cmd_ablate(args, cfg, out):
     rows = run_ablation(cfg, args.train, args.val, args.test)
     text = "\n".join(f"{name}\t{f1:.6f}" for name, f1 in rows) + "\n"
     (out / "ablation.tsv").write_text(text, encoding="utf-8")
-    _write_config(cfg, out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,13 @@ class ConvBlock:
             return 1
         return (self._conv_len(u) - self.pool) // self.pool_stride + 1
 
-    def forward(self, X, lengths=None):
+    def forward(self, X, lengths=None, keys=None):
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
-        -inf before the max, so padding never wins it."""
-        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride))
+        -inf before the max, so padding never wins it. keys [B, u], if given,
+        name equal rows of X (see tensor.conv1d)."""
+        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
+                            keys=keys))
         if self.global_pool:
             pool, stride = R.shape[-2], 1
             if lengths is not None:
@@ -316,9 +318,14 @@ class HCMSModel:
         if np.ndim(ids) == 1:
             return self.forward(*self.fit_batch([(ids, lang)]))[0]
         X = self.embedding.forward(ids)
+        keys = np.asarray(ids, dtype=np.int64)  # equal ids give equal rows of X
         if lang is not None:
             X = np.concatenate([X, lang], axis=-1)
-        C = self.conv.forward(X, lengths)
+            # equal (id, lang row) pairs give equal rows of [X, lang]
+            rows, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
+                                   return_inverse=True)
+            keys = keys * len(rows) + code.reshape(keys.shape)
+        C = self.conv.forward(X, lengths, keys)
         if self.attention is not None:
             G = self.attention.forward(C)
         else:

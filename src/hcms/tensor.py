@@ -47,15 +47,21 @@ class Parameter:
 #
 # conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
 #
-# Unrolled (im2col) form of Chellapilla, Puri & Simard (2006): each output
-# row's window of k input rows is laid out as one row of k*d values, and one
-# GEMM against filters.reshape(f, k*d) gives every output row at once. Only
-# the v kept windows of each example are gathered, so no window that crosses
-# into the next example or falls between strides is ever computed. Examples
-# are walked in blocks of about _BLOCK_ROWS windows, so that one block's
-# windows stay in cache between the gather and the GEMM (Goto & van de Geijn,
-# 2008); the backward gathers each block again rather than keeping a
-# batch-sized window buffer alive between the passes.
+# The forward is a tap table, the precomputation of Devlin et al. (2014):
+# output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
+# term depends only on the input row and the tap j. One batched GEMM
+# multiplies each distinct input row by the k taps, giving a [k, rows, f]
+# table, and each output row adds up its k table rows. keys [..., u], when
+# given, say which rows are equal (equal keys promise equal rows, as equal
+# token ids do), so a row that repeats, PAD above all, is multiplied once.
+#
+# The backward is the unrolled (im2col) form of Chellapilla, Puri & Simard
+# (2006): the v kept windows of k input rows are laid out as rows of k*d
+# values, so one GEMM against filters.reshape(f, k*d) serves them all. No
+# window that crosses into the next example or falls between strides is
+# gathered, and examples are walked in blocks of about _BLOCK_ROWS windows,
+# so that a block's windows stay in cache between the gather and the GEMMs
+# (Goto & van de Geijn, 2008).
 
 _BLOCK_ROWS = 256
 
@@ -81,7 +87,7 @@ def _windows(x, k, stride, v, out):
     return out.reshape(-1, k * d)
 
 
-def conv1d(x, filters, bias, stride=1):
+def conv1d(x, filters, bias, stride=1, keys=None):
     x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
     u, d = x.shape[-2:]
     f, k, fd = filters.shape
@@ -90,15 +96,17 @@ def conv1d(x, filters, bias, stride=1):
     if u < k:
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
-    xs = x.reshape(-1, u, d)
-    W = filters.reshape(f, k * d)
-    out = np.empty((xs.shape[0], v, f))
-    per, blocks = _blocks(xs.shape[0], v)
-    cols = np.empty((per, v, k * d))
-    for s, e in blocks:
-        block = out[s:e].reshape(-1, f)
-        np.matmul(_windows(xs[s:e], k, stride, v, cols[:e - s]), W.T, out=block)
-        block += bias
+    rows = x.reshape(-1, d)
+    if keys is None:
+        inv = np.arange(len(rows)).reshape(-1, u)
+    else:
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        rows, inv = rows[first], inv.reshape(-1, u)
+    taps = rows @ filters.transpose(1, 2, 0)  # [k, distinct rows, f]
+    out = taps[0].take(inv[:, _strided(v, stride)], axis=0)
+    out += bias
+    for j in range(1, k):
+        out += taps[j].take(inv[:, _strided(v, stride, j)], axis=0)
     return out.reshape(x.shape[:-2] + (v, f))
 
 

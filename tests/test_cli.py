@@ -173,6 +173,20 @@ def test_lang_features_key_rejected(corpus_files, tmp_path):
     assert code == 5
 
 
+@pytest.mark.parametrize("setting", [
+    "kernel=0", "stride=0", "pool=0", "pool_stride=0", "embed_dim=0", "filters=0",
+    "attn_hidden=0", "batch_size=0", "epochs=0", "max_len=2", "n_classes=2",
+    "global_pool=true", "lr=nan", "lr=-0.01", "lr=inf", "beta1=1", "beta2=-0.1",
+    "epsilon=0", "epsilon=nan"])
+def test_invalid_config_exit_code(corpus_files, tmp_path, setting):
+    # rejected at config time: no output directory is made
+    out = tmp_path / "out"
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--out-dir", str(out), *FAST, "--set", setting])
+    assert code == 5
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.conll"
     bad.write_text("not a block\n\n", encoding="utf-8")

@@ -383,3 +383,51 @@ def test_batched_loss_gradcheck(rng):
         if name == "embedding.table":
             numeric[0] = 0.0  # PAD row is frozen by design
         assert_close(par.grad, numeric, rtol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# keyed conv forward: the model's keys only name rows that are equal
+
+def unkeyed_forward(m, ids, lang, lengths):
+    """HCMSModel.forward with the conv run on every position (keys=None)."""
+    X = m.embedding.forward(ids)
+    if lang is not None:
+        X = np.concatenate([X, lang], axis=-1)
+    C = m.conv.forward(X, lengths)
+    G = m.attention.forward(C) if m.attention is not None else C.reshape(len(C), -1)
+    return m.head.forward(G)
+
+
+KEYED_CONFIGS = {
+    "default_shape": dict(pool_stride=2),
+    "lang_features": dict(lang_features=True),
+    "global_pool": dict(global_pool=True, include_self=True),
+    "stride_2": dict(stride=2, pool_stride=2),
+}
+
+
+@pytest.mark.parametrize("overrides", KEYED_CONFIGS.values(), ids=KEYED_CONFIGS)
+def test_keyed_forward_matches_unkeyed(rng, overrides):
+    # three token types and four lang tags: every id recurs, under
+    # different tags, and every example but the longest ends in PAD
+    m = HCMSModel(tiny_config(**overrides), seed=6)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    examples = [(list(rng.integers(2, 5, size=n)),
+                 np.eye(4)[rng.integers(4, size=n)] if m.config.lang_features else None)
+                for n in (1, 5, 6, 11)]
+    batch = m.fit_batch(examples)
+    assert_close(m.forward(*batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)
+
+
+def test_lang_keys_exact_for_non_onehot_rows(rng):
+    # one token id (then PAD) under lang rows that are not one-hot, some equal:
+    # the keys must tell apart every distinct (id, lang row) pair
+    m = HCMSModel(tiny_config(lang_features=True), seed=6)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    ids = np.full((3, 8), 2)
+    ids[:, 6:] = 0
+    lang = rng.choice([0.0, 0.5, -1.0, 2.0], size=(3, 4))[rng.integers(3, size=(3, 8))]
+    lang[..., 0] += rng.integers(2, size=(3, 8)) * 0.25
+    lengths = np.full(3, 6)
+    assert_close(m.forward(ids, lang, lengths), unkeyed_forward(m, ids, lang, lengths),
+                 rtol=0, atol=1e-12)

@@ -141,6 +141,44 @@ def test_conv1d_gradcheck_across_blocks(rng):
     assert_close(db, central_diff(lambda a: float((T.conv1d(x, f, a, stride) * w).sum()), b))
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["unbatched", "batch", "two_axes"])
+def test_conv1d_keys_match_unkeyed(rng, stride, lead):
+    # rows drawn by id from a four-row table whose row 0 is PAD, so keys
+    # repeat heavily; in a batch the first example is all PAD
+    u, k, d, f = 10, 3, 4, 3
+    v = (u - k) // stride + 1
+    table = rng.uniform(-1, 1, size=(4, d))
+    table[0] = 0.0
+    ids = rng.integers(0, 4, size=lead + (u,))
+    if lead:
+        ids.reshape(-1, u)[0] = 0
+    x = table[ids]
+    filters = rng.uniform(-1, 1, size=(f, k, d))
+    bias = rng.uniform(-1, 1, size=f)
+    keyed = T.conv1d(x, filters, bias, stride, keys=ids)
+    out, _ = conv1d_oracle(x, filters, bias, np.zeros(lead + (v, f)), stride)
+    assert keyed.shape == out.shape
+    assert_close(keyed, T.conv1d(x, filters, bias, stride), rtol=1e-12, atol=1e-12)
+    assert_close(keyed, out, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_keyed_gradcheck(rng):
+    # only filters and bias: perturbing one entry of x breaks the promise
+    # that equal keys mean equal rows
+    ids = rng.integers(0, 3, size=(4, 7))
+    x = rng.uniform(-2, 2, size=(3, 2))[ids]
+    f = rng.uniform(-2, 2, size=(3, 2, 2))
+    b = rng.uniform(-2, 2, size=3)
+    for stride in (1, 2):
+        w = rng.uniform(-1, 1, size=(4, (7 - 2) // stride + 1, 3))
+        _, df, db = T.conv1d_backward(w, x, f, stride)
+        assert_close(df, central_diff(
+            lambda a: float((T.conv1d(x, a, b, stride, keys=ids) * w).sum()), f))
+        assert_close(db, central_diff(
+            lambda a: float((T.conv1d(x, f, a, stride, keys=ids) * w).sum()), b))
+
+
 # ---------------------------------------------------------------------------
 # relu
 
