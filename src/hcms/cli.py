@@ -22,9 +22,9 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      read_conll_file, serialize_conll)
 from .layers import HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
-from .train import (CheckpointError, OptimizerConfig, TrainConfig, evaluate,
-                    format_epoch, load_checkpoint, predict, save_checkpoint,
-                    train)
+from .train import (CheckpointError, CheckpointShapeError, OptimizerConfig,
+                    TrainConfig, evaluate, format_epoch, load_checkpoint,
+                    predict, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -38,14 +38,18 @@ class ConfigError(ValueError):
     pass
 
 
+# ModelConfig fields that are not run-config keys: vocab_size comes from the
+# corpus, lang_features from append_lang_onehot
+DERIVED_MODEL_KEYS = ("vocab_size", "lang_features")
+
+
 def _default_config():
     cfg = {"seed": 0}
     for dc in (CleaningConfig, TrainConfig, OptimizerConfig):
         for f in fields(dc):
             cfg[f.name] = f.default
-    # vocab_size comes from the corpus, lang_features from append_lang_onehot
     for f in fields(ModelConfig):
-        if f.name not in ("vocab_size", "lang_features"):
+        if f.name not in DERIVED_MODEL_KEYS:
             cfg[f.name] = f.default
     return cfg
 
@@ -140,7 +144,7 @@ def _split_configs(cfg):
 
 def _model_config(cfg, vocab_size):
     kwargs = {f.name: cfg[f.name] for f in fields(ModelConfig)
-              if f.name not in ("vocab_size", "lang_features")}
+              if f.name not in DERIVED_MODEL_KEYS}
     return ModelConfig(vocab_size=vocab_size, lang_features=cfg["append_lang_onehot"],
                        **kwargs)
 
@@ -215,6 +219,12 @@ def _load_for_inference(checkpoint):
     if not p.exists():
         raise FileNotFoundError(f"checkpoint not found: {p}")
     model, vocab_tokens, extra = load_checkpoint(p)
+    # train saves one token per embedding row; any other count would
+    # encode tokens to the wrong rows
+    if len(vocab_tokens) != model.config.vocab_size:
+        raise CheckpointShapeError(
+            f"vocab lists {len(vocab_tokens)} tokens, "
+            f"the embedding table has {model.config.vocab_size} rows")
     vocab = Vocabulary.from_tokens(vocab_tokens)
     cleaning = CleaningConfig.from_dict(extra.get("cleaning", {}))
     return model, vocab, cleaning

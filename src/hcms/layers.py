@@ -74,25 +74,16 @@ class EmbeddingLayer:
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise VocabularyError(
                 f"token id out of range [0, {n}): {ids[(ids < 0) | (ids >= n)][0]}")
-        self._cache = ids
         return self.table.value[ids]
 
-    def backward(self, dX):
-        """Sums the rows of dX that share a token id (sorted into runs, one
-        reduceat) and adds each sum to its table row once."""
-        ids = self._cache.reshape(-1)
-        order = np.argsort(ids, kind="stable")
-        run_ids = ids[order]
-        first = run_ids.searchsorted(1)  # PAD sorts first and gets no gradient
-        if first == run_ids.size:
-            return
-        order, run_ids = order[first:], run_ids[first:]
-        is_start = np.empty(run_ids.size, dtype=bool)
-        is_start[0] = True
-        np.not_equal(run_ids[1:], run_ids[:-1], out=is_start[1:])
-        starts = np.flatnonzero(is_start)
-        rows = dX.reshape(-1, dX.shape[-1])[order]
-        self.table.grad[run_ids[starts]] += np.add.reduceat(rows, starts, axis=0)
+    def backward(self, dK, keys):
+        """dK [n, dim] is the gradient at the distinct keys [n] of a forward's
+        positions (see HCMSModel.forward), and key % vocab_size is the token
+        id. Sums dK by id and adds each sum to its table row once; PAD gets
+        no gradient."""
+        ids, sums = T.group_sum(keys % self.table.shape[0], dK)
+        first = ids.searchsorted(1)  # PAD sorts first
+        self.table.grad[ids[first:]] += sums[first:]
 
 
 class ConvBlock:
@@ -132,17 +123,21 @@ class ConvBlock:
                 R = np.where(valid[..., None], R, -np.inf)
         else:
             pool, stride = self.pool, self.pool_stride
-        self._cache = (X, R, pool, stride)
+        self._cache = (X, R, pool, stride, keys)
         return T.maxpool1d(R, pool, stride)
 
     def backward(self, dC):
-        X, R, pool, stride = self._cache
+        """Returns (dX, keys). After a keyed forward, dX holds one row per
+        distinct key and keys are those keys, sorted (see tensor.conv1d_backward);
+        otherwise dX has X's shape and keys is None."""
+        X, R, pool, stride, keys = self._cache
         dR = T.maxpool1d_backward(dC, R, pool, stride)
         dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
-        dX, dF, dB = T.conv1d_backward(dZ, X, self.filters.value, self.stride)
+        dX, dF, dB = T.conv1d_backward(dZ, X, self.filters.value, self.stride,
+                                       keys)
         self.filters.grad += dF
         self.bias.grad += dB
-        return dX
+        return dX, (None if keys is None else np.unique(keys))
 
 
 class SelfAttentionLayer:
@@ -318,13 +313,14 @@ class HCMSModel:
         if np.ndim(ids) == 1:
             return self.forward(*self.fit_batch([(ids, lang)]))[0]
         X = self.embedding.forward(ids)
-        keys = np.asarray(ids, dtype=np.int64)  # equal ids give equal rows of X
+        # equal ids give equal rows of X, and key % vocab_size is the id
+        keys = np.asarray(ids, dtype=np.int64)
         if lang is not None:
             X = np.concatenate([X, lang], axis=-1)
             # equal (id, lang row) pairs give equal rows of [X, lang]
-            rows, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
-                                   return_inverse=True)
-            keys = keys * len(rows) + code.reshape(keys.shape)
+            _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
+                                return_inverse=True)
+            keys = keys + self.config.vocab_size * code.reshape(keys.shape)
         C = self.conv.forward(X, lengths, keys)
         if self.attention is not None:
             G = self.attention.forward(C)
@@ -340,8 +336,8 @@ class HCMSModel:
             dC = self.attention.backward(dG)
         else:
             dC = dG.reshape(dG.shape[0], -1, self.config.filters)
-        dX = self.conv.backward(dC)
-        self.embedding.backward(dX[..., :self.config.embed_dim])
+        dK, keys = self.conv.backward(dC)
+        self.embedding.backward(dK[:, :self.config.embed_dim], keys)
 
     def predict(self, ids, lang=None, lengths=None):
         """Argmax class: [B] for a batch, one int for one id sequence.
@@ -350,7 +346,7 @@ class HCMSModel:
         dropped rather than held until the next forward.
         """
         labels = np.argmax(self.forward(ids, lang, lengths), axis=-1)
-        for layer in (self.embedding, self.conv, self.attention, self.head):
+        for layer in (self.conv, self.attention, self.head):
             if layer is not None:
                 layer._cache = None
         return labels

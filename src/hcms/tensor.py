@@ -47,23 +47,24 @@ class Parameter:
 #
 # conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
 #
+# One layout serves both directions: the distinct input rows [n, d] and an
+# index map inv [examples, u] from each position to its row. keys [..., u],
+# when given, say which rows are equal (equal keys promise equal rows, as
+# equal token ids do), so a row that repeats, PAD above all, is one row;
+# without keys every position is its own row.
+#
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
 # term depends only on the input row and the tap j. One batched GEMM
-# multiplies each distinct input row by the k taps, giving a [k, rows, f]
-# table, and each output row adds up its k table rows. keys [..., u], when
-# given, say which rows are equal (equal keys promise equal rows, as equal
-# token ids do), so a row that repeats, PAD above all, is multiplied once.
+# multiplies each distinct row by the k taps, giving a [k, rows, f] table,
+# and each output row adds up its k table rows.
 #
-# The backward is the unrolled (im2col) form of Chellapilla, Puri & Simard
-# (2006): the v kept windows of k input rows are laid out as rows of k*d
-# values, so one GEMM against filters.reshape(f, k*d) serves them all. No
-# window that crosses into the next example or falls between strides is
-# gathered, and examples are walked in blocks of about _BLOCK_ROWS windows,
-# so that a block's windows stay in cache between the gather and the GEMMs
-# (Goto & van de Geijn, 2008).
-
-_BLOCK_ROWS = 256
+# The backward runs the same sums the other way. For each tap j, group_sum
+# adds up dout over the windows whose tap j reads each distinct row, giving
+# sums [rows read, f]; then dfilters[:, j] = sums^T @ those rows, and each
+# row's gradient gains sums @ filters[:, j]. The GEMMs are as large as the
+# number of distinct rows, not of windows, so a padding window costs only
+# its share of the group sums.
 
 
 def _strided(v, stride, start=0):
@@ -71,20 +72,29 @@ def _strided(v, stride, start=0):
     return slice(start, start + stride * (v - 1) + 1, stride)
 
 
-def _blocks(n, v):
-    """Splits n examples of v windows each into (start, stop) ranges of
-    about _BLOCK_ROWS windows; returns (largest range size, ranges)."""
-    per = max(1, _BLOCK_ROWS // v)
-    return min(per, n), [(s, min(s + per, n)) for s in range(0, n, per)]
+def _distinct_rows(x, keys):
+    """(rows, inv): one row of x [..., u, d] per distinct key, in sorted key
+    order, and inv [examples, u] giving each position's row."""
+    u, d = x.shape[-2:]
+    rows = x.reshape(-1, d)
+    if keys is None:
+        return rows, np.arange(len(rows)).reshape(-1, u)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inv.reshape(-1, u)
 
 
-def _windows(x, k, stride, v, out):
-    """Gather the v kept windows of each example x [n, u, d] into out
-    [n, v, k*d] with k strided slice copies; returns out as [n*v, k*d]."""
-    d = x.shape[-1]
-    for j in range(k):
-        out[:, :, j * d:(j + 1) * d] = x[:, _strided(v, stride, j)]
-    return out.reshape(-1, k * d)
+def group_sum(keys, values):
+    """(distinct keys in sorted order, their sums): values [keys.size, ...]
+    has one row per flattened key, and rows sharing a key are summed. One
+    stable sort into runs of equal keys, then one np.add.reduceat."""
+    keys = np.ravel(keys)
+    order = np.argsort(keys, kind="stable")
+    run_keys = keys[order]
+    is_start = np.empty(run_keys.size, dtype=bool)
+    is_start[:1] = True
+    np.not_equal(run_keys[1:], run_keys[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    return run_keys[starts], np.add.reduceat(values[order], starts, axis=0)
 
 
 def conv1d(x, filters, bias, stride=1, keys=None):
@@ -96,12 +106,7 @@ def conv1d(x, filters, bias, stride=1, keys=None):
     if u < k:
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
-    rows = x.reshape(-1, d)
-    if keys is None:
-        inv = np.arange(len(rows)).reshape(-1, u)
-    else:
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        rows, inv = rows[first], inv.reshape(-1, u)
+    rows, inv = _distinct_rows(x, keys)
     taps = rows @ filters.transpose(1, 2, 0)  # [k, distinct rows, f]
     out = taps[0].take(inv[:, _strided(v, stride)], axis=0)
     out += bias
@@ -110,29 +115,20 @@ def conv1d(x, filters, bias, stride=1, keys=None):
     return out.reshape(x.shape[:-2] + (v, f))
 
 
-def conv1d_backward(dout, x, filters, stride=1):
-    """Returns (dx, dfilters, dbias) for conv1d."""
+def conv1d_backward(dout, x, filters, stride=1, keys=None):
+    """Returns (dx, dfilters, dbias) for conv1d. With keys, dx [n, d] holds
+    one row per distinct key, in sorted key order: the summed gradient of
+    the positions sharing that key. Without keys dx has x's shape."""
     dout, x = as_tensor(dout), as_tensor(x)
-    u, d = x.shape[-2:]
-    f, k, _ = filters.shape
-    v = dout.shape[-2]
-    xs = x.reshape(-1, u, d)
-    g_all = dout.reshape(-1, v, f)
-    W = filters.reshape(f, k * d)
-    dx = np.zeros_like(xs)
-    dW = np.zeros((f, k * d))
-    per, blocks = _blocks(xs.shape[0], v)
-    cols, dcols = np.empty((per, v, k * d)), np.empty((per * v, k * d))
-    part = np.empty_like(dW)
-    for s, e in blocks:
-        c = _windows(xs[s:e], k, stride, v, cols[:e - s])
-        g = g_all[s:e].reshape(-1, f)
-        dW += np.matmul(g.T, c, out=part)
-        dc = np.matmul(g, W, out=dcols[:len(g)]).reshape(e - s, v, k * d)
-        for j in range(k):
-            dx[s:e, _strided(v, stride, j)] += dc[:, :, j * d:(j + 1) * d]
-    dbias = g_all.reshape(-1, f).sum(axis=0)
-    return dx.reshape(x.shape), dW.reshape(f, k, d), dbias
+    f, k, d = filters.shape
+    rows, inv = _distinct_rows(x, keys)
+    g = dout.reshape(-1, f)
+    dx, dfilters = np.zeros((len(rows), d)), np.empty(filters.shape)
+    for j in range(k):
+        read, sums = group_sum(inv[:, _strided(dout.shape[-2], stride, j)], g)
+        dfilters[:, j] = sums.T @ rows[read]
+        dx[read] += sums @ filters[:, j]
+    return (dx.reshape(x.shape) if keys is None else dx), dfilters, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ every parameter value exactly.
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -207,7 +207,8 @@ def save_checkpoint(model: HCMSModel, vocab_tokens, path, extra_config=None):
 
 
 def load_checkpoint(path):
-    """Returns (model, vocab_tokens, extra_config)."""
+    """Returns (model, vocab_tokens, extra_config). A file that is not a
+    checkpoint, or whose header is malformed, raises a CheckpointError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
@@ -225,12 +226,34 @@ def load_checkpoint(path):
     body = raw[16 + hlen:]
     if len(body) % 8:
         raise CheckpointCorruptError("truncated checkpoint data section")
-    data = np.frombuffer(body, dtype="<f8")
-    total = sum(int(np.prod(e["shape"])) for e in header["params"])
-    if data.size != total:
+    try:
+        return _restore(header, np.frombuffer(body, dtype="<f8"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCorruptError(f"malformed checkpoint header: {exc!r}") from exc
+
+
+def _restore(header, data):
+    """(model, vocab_tokens, extra_config) from a decoded header and the data
+    section. A missing key or a value of the wrong type raises KeyError,
+    TypeError or ValueError, which load_checkpoint maps to a CheckpointError."""
+    offset = 0
+    for entry in header["params"]:
+        if entry["offset"] != offset:
+            raise CheckpointShapeError(
+                f"{entry['name']}: offset {entry['offset']} != {offset}, "
+                "where the parameters before it end")
+        offset += int(np.prod(entry["shape"]))
+    if data.size != offset:
         raise CheckpointShapeError(
-            f"data section holds {data.size} values, manifest expects {total}")
+            f"data section holds {data.size} values, manifest expects {offset}")
     config = ModelConfig.from_dict(header["config"])
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        # max_len may be below 1: a batch is padded to max(max_len, kernel)
+        if f.type is int and (type(value) is not int
+                              or (value < 1 and f.name != "max_len")):
+            raise CheckpointCorruptError(
+                f"config {f.name} must be a positive integer, got {value!r}")
     model = HCMSModel(config, seed=0)
     params = model.parameters()
     if set(params) != {e["name"] for e in header["params"]}:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import pytest
 
 from hcms.cli import main
@@ -157,6 +160,32 @@ def test_bad_checkpoint_exit_code(corpus_files, tmp_path):
     code = main(["eval", "--checkpoint", str(bad),
                  "--input", str(corpus_files / "test.conll"),
                  "--out-dir", str(tmp_path)])
+    assert code == 4
+
+
+CORRUPT_HEADERS = {
+    "no_vocab": lambda h: h.pop("vocab"),
+    "offset_out_of_range": lambda h: h["params"][-1].update(offset=10 ** 9),
+    "shared_offset": lambda h: h["params"][0].update(offset=h["params"][-1]["offset"]),
+    "vocab_size_string": lambda h: h["config"].update(vocab_size=str(h["config"]["vocab_size"])),
+    "negative_kernel": lambda h: h["config"].update(kernel=-1),
+    "short_vocab": lambda h: h.update(vocab=h["vocab"][:-1]),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_HEADERS.values(), ids=CORRUPT_HEADERS)
+def test_corrupt_header_exit_code(corpus_files, trained, tmp_path, corrupt):
+    # the header is edited and rewritten with its new length; the data stay
+    raw = (trained / "model.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    corrupt(header)
+    text = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen:])
+    code = main(["predict", "--checkpoint", str(bad),
+                 "--input", str(corpus_files / "unlabeled.conll"),
+                 "--out-dir", str(tmp_path / "out")])
     assert code == 4
 
 

@@ -58,24 +58,26 @@ def test_embed_out_of_range(rng):
 
 def test_embed_backward_skips_pad(rng):
     layer = EmbeddingLayer(5, 3, rng)
-    layer.forward([0, 2, 2])
-    layer.backward(np.ones((3, 3)))
+    keys, dK = T.group_sum(np.array([0, 2, 2]), np.ones((3, 3)))
+    layer.backward(dK, keys)
     assert np.all(layer.table.grad[0] == 0)
     assert np.all(layer.table.grad[2] == 2)
 
 
 def test_embed_backward_matches_scatter(rng):
-    # reference: one np.add.at scatter of every non-PAD row
+    # reference: one np.add.at scatter of every non-PAD row; the keys carry
+    # a code above the ids, as HCMSModel's do under lang_features
     layer = EmbeddingLayer(6, 3, rng)
     ids = rng.integers(0, 6, size=(4, 9))
     dX = rng.uniform(-1, 1, size=(4, 9, 3))
     want = np.zeros_like(layer.table.grad)
     np.add.at(want, ids[ids != 0], dX[ids != 0])
-    layer.forward(ids)
-    layer.backward(dX)
+    keys, dK = T.group_sum(ids + 6 * rng.integers(0, 3, size=ids.shape),
+                           dX.reshape(-1, 3))
+    layer.backward(dK, keys)
     assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
-    layer.forward(np.zeros((2, 5), dtype=np.int64))  # all PAD: no gradient
-    layer.backward(dX[:2, :5])
+    keys, dK = T.group_sum(np.zeros(10, dtype=np.int64), dX[:2, :5].reshape(-1, 3))
+    layer.backward(dK, keys)  # all PAD: no gradient
     assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
 
 

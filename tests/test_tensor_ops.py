@@ -5,7 +5,6 @@ import pytest
 
 import extra_ops as T
 from conftest import assert_close, central_diff
-from hcms.tensor import _BLOCK_ROWS
 
 N_TRIALS = 100
 
@@ -104,18 +103,15 @@ def conv1d_oracle(x, filters, bias, dout, stride):
     return out, (dx, df, dout.reshape(-1, filters.shape[0]).sum(axis=0))
 
 
-def several_blocks(v):
-    """Leading axes of a batch of two full conv1d blocks and a short third."""
-    return (2 * max(1, _BLOCK_ROWS // v) + 3,)
+LARGE_BATCH = (67,)  # leading axes of a batch far larger than the others
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("lead", [(), (5,), (2, 3), several_blocks],
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3), LARGE_BATCH],
                          ids=["unbatched", "batch", "two_axes", "blocks"])
 def test_conv1d_matches_window_loop(rng, stride, lead):
     u, k, d, f = 10, 3, 4, 3
     v = (u - k) // stride + 1
-    lead = lead(v) if callable(lead) else lead
     x = rng.uniform(-1, 1, size=lead + (u, d))
     filters = rng.uniform(-1, 1, size=(f, k, d))
     bias = rng.uniform(-1, 1, size=f)
@@ -130,7 +126,7 @@ def test_conv1d_matches_window_loop(rng, stride, lead):
 def test_conv1d_gradcheck_across_blocks(rng):
     u, k, d, nf, stride = 7, 2, 2, 2, 3
     v = (u - k) // stride + 1
-    lead = several_blocks(v)
+    lead = LARGE_BATCH
     x = rng.uniform(-2, 2, size=lead + (u, d))
     f = rng.uniform(-2, 2, size=(nf, k, d))
     b = rng.uniform(-2, 2, size=nf)
@@ -141,19 +137,27 @@ def test_conv1d_gradcheck_across_blocks(rng):
     assert_close(db, central_diff(lambda a: float((T.conv1d(x, f, a, stride) * w).sum()), b))
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3])
-@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["unbatched", "batch", "two_axes"])
-def test_conv1d_keys_match_unkeyed(rng, stride, lead):
-    # rows drawn by id from a four-row table whose row 0 is PAD, so keys
-    # repeat heavily; in a batch the first example is all PAD
-    u, k, d, f = 10, 3, 4, 3
-    v = (u - k) // stride + 1
+def keyed_input(rng, lead, u, d):
+    """(ids, x): rows drawn by id from a four-row table whose row 0 is PAD,
+    so keys repeat heavily; in a batch the first example is all PAD."""
     table = rng.uniform(-1, 1, size=(4, d))
     table[0] = 0.0
     ids = rng.integers(0, 4, size=lead + (u,))
     if lead:
         ids.reshape(-1, u)[0] = 0
-    x = table[ids]
+    return ids, table[ids]
+
+
+KEYED_LEADS = pytest.mark.parametrize("lead", [(), (5,), (2, 3)],
+                                      ids=["unbatched", "batch", "two_axes"])
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@KEYED_LEADS
+def test_conv1d_keys_match_unkeyed(rng, stride, lead):
+    u, k, d, f = 10, 3, 4, 3
+    v = (u - k) // stride + 1
+    ids, x = keyed_input(rng, lead, u, d)
     filters = rng.uniform(-1, 1, size=(f, k, d))
     bias = rng.uniform(-1, 1, size=f)
     keyed = T.conv1d(x, filters, bias, stride, keys=ids)
@@ -161,6 +165,25 @@ def test_conv1d_keys_match_unkeyed(rng, stride, lead):
     assert keyed.shape == out.shape
     assert_close(keyed, T.conv1d(x, filters, bias, stride), rtol=1e-12, atol=1e-12)
     assert_close(keyed, out, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@KEYED_LEADS
+def test_conv1d_keyed_backward_sums_unkeyed_by_key(rng, stride, lead):
+    # reference: the unkeyed dx scattered onto the sorted distinct keys
+    u, k, d, f = 10, 3, 4, 3
+    v = (u - k) // stride + 1
+    ids, x = keyed_input(rng, lead, u, d)
+    filters = rng.uniform(-1, 1, size=(f, k, d))
+    dout = rng.uniform(-1, 1, size=lead + (v, f))
+    dx, dfilters, dbias = T.conv1d_backward(dout, x, filters, stride)
+    keys, at_key = np.unique(ids, return_inverse=True)
+    want = np.zeros((len(keys), d))
+    np.add.at(want, at_key.ravel(), dx.reshape(-1, d))
+    got = T.conv1d_backward(dout, x, filters, stride, keys=ids)
+    for g, w in zip(got, (want, dfilters, dbias)):
+        assert g.shape == w.shape
+        assert_close(g, w, rtol=1e-12, atol=1e-12)
 
 
 def test_conv1d_keyed_gradcheck(rng):
