@@ -6,7 +6,8 @@ writes its resolved configuration next to its outputs so any reported
 number is reproducible from the artifacts alone.
 
 Exit codes: 0 success, 2 missing/unreadable file, 3 corpus parse error,
-4 checkpoint error, 5 configuration error, 1 anything else.
+4 checkpoint error, 5 configuration error or a training run that diverged
+(non-finite loss or parameters), 1 anything else.
 """
 
 import argparse
@@ -22,9 +23,9 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      read_conll_file, serialize_conll)
 from .layers import HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
-from .train import (CheckpointError, CheckpointShapeError, OptimizerConfig,
-                    TrainConfig, evaluate, format_epoch, load_checkpoint,
-                    predict, save_checkpoint, train)
+from .train import (CheckpointError, CheckpointShapeError, DivergenceError,
+                    OptimizerConfig, TrainConfig, evaluate, format_epoch,
+                    load_checkpoint, predict, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -379,6 +380,9 @@ def main(argv=None):
         return EXIT_CHECKPOINT
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

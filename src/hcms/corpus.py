@@ -63,7 +63,7 @@ class CleaningConfig:
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-def _parse_block(block_lines, start_line, lenient):
+def _parse_block(block_lines, start_line):
     first = block_lines[0].split("\t")
     if len(first) < 2 or len(first) > 3 or first[0].strip().lower() != "meta":
         raise ConllParseError(f"line {start_line}: expected meta line, got {block_lines[0]!r}")
@@ -71,8 +71,8 @@ def _parse_block(block_lines, start_line, lenient):
     if len(first) == 3:
         label = first[2].strip().lower()
         if label not in LABELS:
-            # lenient mode tolerates swapped id/label fields
-            if lenient and tweet_id.lower() in LABELS:
+            # swapped id/label fields are tolerated
+            if tweet_id.lower() in LABELS:
                 tweet_id, label = label, tweet_id.lower()
             else:
                 raise ConllParseError(
@@ -93,7 +93,7 @@ def _parse_block(block_lines, start_line, lenient):
     return TweetRecord(id=tweet_id, tokens=tokens, lang_tags=tags, label=label)
 
 
-def parse_conll(text, strict=False, lenient_meta=True):
+def parse_conll(text, strict=False):
     """Parse CONLL text into records.
 
     Returns (records, skipped) where skipped is a list of
@@ -110,7 +110,7 @@ def parse_conll(text, strict=False, lenient_meta=True):
         if line.strip() == "":
             if block:
                 try:
-                    records.append(_parse_block(block, block_start, lenient_meta))
+                    records.append(_parse_block(block, block_start))
                 except ConllParseError as exc:
                     if strict:
                         raise
@@ -279,9 +279,9 @@ def encode(record, vocab, cfg: CleaningConfig):
     return ids, onehot
 
 
-def encode_corpus(records, vocab, cfg, label_map=None):
+def encode_corpus(records, vocab, cfg):
     """Encode records into (ids, lang, label_index) triples for training."""
-    label_map = label_map or {lbl: i for i, lbl in enumerate(LABELS)}
+    label_map = {lbl: i for i, lbl in enumerate(LABELS)}
     out = []
     for rec in records:
         ids, onehot = encode(rec, vocab, cfg)

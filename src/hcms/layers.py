@@ -5,7 +5,7 @@ Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. Each layer caches whatever its backward pass needs in
 its _cache attribute, so a model is single-writer during training (forward
 immediately followed by backward). Gradients accumulate into Parameter.grad, summed
-over the batch.
+over the batch; in an HCMSModel every Parameter is a view into one store.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -254,6 +254,15 @@ class HCMSModel:
                 cfg.score_sigmoid, rng)
         self._v = self.conv.out_len(max(cfg.max_len, cfg.kernel))
         self.head = DenseHead(self._v * cfg.filters, cfg.n_classes, rng)
+        # every value and grad becomes a view into one store, in parameters() order
+        params = self.parameters().values()
+        self.store = Parameter(np.concatenate([p.value.ravel() for p in params]))
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            p.value = self.store.value[offset:end].reshape(p.shape)
+            p.grad = self.store.grad[offset:end].reshape(p.shape)
+            offset = end
 
     def parameters(self):
         params = {
@@ -274,8 +283,7 @@ class HCMSModel:
         return params
 
     def zero_grad(self):
-        for p in self.parameters().values():
-            p.zero_grad()
+        self.store.zero_grad()
 
     def fit_batch(self, examples):
         """Right-pad with PAD (or truncate) (token_ids, lang_onehot_or_None)

@@ -6,11 +6,11 @@ macro and weighted averages are computed; weighted is the headline
 number in formatted reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-CLASS_NAMES = ("positive", "negative", "neutral")
+from .corpus import LABELS
 
 
 class EvaluationError(ValueError):
@@ -32,7 +32,7 @@ class MetricsReport:
     weighted_recall: float
     weighted_f1: float
     zero_division_warnings: int = 0
-    class_names: tuple = field(default=CLASS_NAMES)
+    class_names: tuple = LABELS
 
     def to_dict(self):
         d = {"accuracy": self.accuracy,
@@ -52,7 +52,7 @@ class MetricsReport:
         return d
 
 
-def score(true_labels, pred_labels, n_classes=3, class_names=None):
+def score(true_labels, pred_labels, n_classes=3):
     true_labels = list(true_labels)
     pred_labels = list(pred_labels)
     if not true_labels:
@@ -84,7 +84,6 @@ def score(true_labels, pred_labels, n_classes=3, class_names=None):
         support.append(int(true_c))
     sup = np.asarray(support, dtype=np.float64)
     weights = sup / sup.sum() if sup.sum() else np.zeros(n_classes)
-    names = tuple(class_names) if class_names else CLASS_NAMES[:n_classes]
     return MetricsReport(
         confusion=cm,
         precision=precision, recall=recall, f1=f1, support=support,
@@ -96,7 +95,7 @@ def score(true_labels, pred_labels, n_classes=3, class_names=None):
         weighted_recall=float(np.dot(weights, recall)),
         weighted_f1=float(np.dot(weights, f1)),
         zero_division_warnings=warnings,
-        class_names=names,
+        class_names=LABELS[:n_classes],
     )
 
 

@@ -24,14 +24,11 @@ def as_tensor(x):
 
 
 class Parameter:
-    """A trainable tensor plus its gradient and Adam moment state."""
+    """A trainable tensor and its gradient, both of one shape."""
 
     def __init__(self, value):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
-        self.step = 0
+        self.grad = np.zeros(self.value.shape)
 
     @property
     def shape(self):

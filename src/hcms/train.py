@@ -9,8 +9,8 @@ Checkpoint layout (version 1, little-endian throughout):
                               "extra":  {...e.g. cleaning flags...},
                               "vocab":  [token, ...]  (index order),
                               "params": [{"name", "shape", "offset"}, ...]}
-    data         raw float64 values, concatenated in manifest order;
-                 offsets are in float64 counts from the data start.
+    data         the model's parameter store (HCMSModel.store), raw float64;
+                 the manifest must be the one the config's model would write.
 
 Round-trip bit-exactness is the binding contract: load(save(m)) reproduces
 every parameter value exactly.
@@ -37,6 +37,10 @@ class LabelError(ValueError):
 
 class DataError(ValueError):
     """Corpus unusable for training (e.g. empty)."""
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss or non-finite parameters."""
 
 
 class CheckpointError(Exception):
@@ -86,23 +90,32 @@ def cross_entropy_softmax_grad(y_onehot, probs):
     return np.asarray(probs, dtype=np.float64) - np.asarray(y_onehot, dtype=np.float64)
 
 
-def adam_step(param, cfg: OptimizerConfig):
+class AdamState:
+    """Adam's moment estimates and step count for one Parameter."""
+
+    def __init__(self, param):
+        self.m = np.zeros(param.shape)
+        self.v = np.zeros(param.shape)
+        self.step = 0
+
+
+def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
     """Standard bias-corrected Adam update, in place; zeroes the gradient
     afterwards."""
-    param.step += 1
+    state.step += 1
     g = param.grad
-    param.m *= cfg.beta1
-    param.m += (1.0 - cfg.beta1) * g
-    param.v *= cfg.beta2
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * g
+    state.v *= cfg.beta2
     t = (1.0 - cfg.beta2) * g
     t *= g
-    param.v += t
+    state.v += t
     # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t and
     # in the gradient buffer, which is zeroed afterwards
-    np.divide(param.v, 1.0 - cfg.beta2 ** param.step, out=t)
+    np.divide(state.v, 1.0 - cfg.beta2 ** state.step, out=t)
     np.sqrt(t, out=t)
     t += cfg.epsilon
-    np.divide(param.m, 1.0 - cfg.beta1 ** param.step, out=g)
+    np.divide(state.m, 1.0 - cfg.beta1 ** state.step, out=g)
     g *= cfg.lr
     g /= t
     param.value -= g
@@ -137,7 +150,7 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
         raise DataError("empty training corpus")
     n_classes = model.config.n_classes
     rng = np.random.default_rng(tcfg.seed)
-    params = model.parameters()
+    store, state = model.store, AdamState(model.store)
     best_f1, best_snapshot = -1.0, None
     log = []
     order = np.arange(len(train_data))
@@ -151,11 +164,13 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
             ids, lang, lengths = model.fit_batch([(x, l) for x, l, _ in batch])
             y = np.eye(n_classes)[[label for *_, label in batch]]
             probs = model.forward(ids, lang, lengths)
-            total_loss += cross_entropy(y, probs)
+            loss = cross_entropy(y, probs)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
+            total_loss += loss
             # mean over the batch so lr is batch-size-insensitive
             model.backward(cross_entropy_softmax_grad(y, probs) / len(batch))
-            for p in params.values():
-                adam_step(p, ocfg)
+            adam_step(store, state, ocfg)
         entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
         if val_data:
             trues, preds = evaluate(model, val_data, tcfg.batch_size)
@@ -164,13 +179,14 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
             entry["val_acc"] = report.accuracy
             if report.weighted_f1 > best_f1:
                 best_f1 = report.weighted_f1
-                best_snapshot = {k: p.value.copy() for k, p in params.items()}
+                best_snapshot = store.value.copy()
         log.append(entry)
         if log_fn:
             log_fn(entry)
     if best_snapshot is not None:
-        for k, p in params.items():
-            p.value[...] = best_snapshot[k]
+        store.value[...] = best_snapshot
+    if not np.isfinite(store.value).all():
+        raise DivergenceError("training left non-finite parameters")
     return log
 
 
@@ -185,25 +201,27 @@ def format_epoch(entry):
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _manifest(model):
+    """[{name, shape, offset}]: where each parameter's view starts in the store."""
+    base = model.store.value.ctypes.data
+    return [{"name": name, "shape": list(p.shape),
+             "offset": (p.value.ctypes.data - base) // p.value.itemsize}
+            for name, p in model.parameters().items()]
+
+
 def save_checkpoint(model: HCMSModel, vocab_tokens, path, extra_config=None):
-    params = model.parameters()
-    manifest, offset = [], 0
-    for name, p in params.items():
-        manifest.append({"name": name, "shape": list(p.shape), "offset": offset})
-        offset += p.value.size
     header = json.dumps({
         "config": model.config.to_dict(),
         "extra": extra_config or {},
         "vocab": list(vocab_tokens),
-        "params": manifest,
+        "params": _manifest(model),
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for p in params.values():
-            fh.write(p.value.astype("<f8").tobytes())
+        fh.write(model.store.value.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -236,16 +254,9 @@ def _restore(header, data):
     """(model, vocab_tokens, extra_config) from a decoded header and the data
     section. A missing key or a value of the wrong type raises KeyError,
     TypeError or ValueError, which load_checkpoint maps to a CheckpointError."""
-    offset = 0
-    for entry in header["params"]:
-        if entry["offset"] != offset:
-            raise CheckpointShapeError(
-                f"{entry['name']}: offset {entry['offset']} != {offset}, "
-                "where the parameters before it end")
-        offset += int(np.prod(entry["shape"]))
-    if data.size != offset:
-        raise CheckpointShapeError(
-            f"data section holds {data.size} values, manifest expects {offset}")
+    extra = header["extra"]
+    if not isinstance(extra, dict) or not isinstance(extra.get("cleaning", {}), dict):
+        raise CheckpointCorruptError("extra and extra.cleaning must be JSON objects")
     config = ModelConfig.from_dict(header["config"])
     for f in fields(ModelConfig):
         value = getattr(config, f.name)
@@ -255,15 +266,9 @@ def _restore(header, data):
             raise CheckpointCorruptError(
                 f"config {f.name} must be a positive integer, got {value!r}")
     model = HCMSModel(config, seed=0)
-    params = model.parameters()
-    if set(params) != {e["name"] for e in header["params"]}:
-        raise CheckpointShapeError("parameter names do not match the model layout")
-    for entry in header["params"]:
-        p = params[entry["name"]]
-        shape = tuple(entry["shape"])
-        if p.shape != shape:
-            raise CheckpointShapeError(
-                f"{entry['name']}: checkpoint shape {shape} != model shape {p.shape}")
-        n = int(np.prod(shape))
-        p.value[...] = data[entry["offset"]:entry["offset"] + n].reshape(shape)
-    return model, header["vocab"], header["extra"]
+    if header["params"] != _manifest(model) or data.size != model.store.value.size:
+        raise CheckpointShapeError(
+            f"manifest or data section ({data.size} values) does not match the "
+            "model's layout")
+    model.store.value[...] = data
+    return model, header["vocab"], extra

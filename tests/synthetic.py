@@ -11,7 +11,7 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus import TweetRecord, parse_conll
+from hcms.corpus import TweetRecord, parse_conll
 
 _POSITIVE = [("accha", "HIN"), ("badhiya", "HIN"), ("love", "ENG"),
              ("amazing", "ENG"), ("mast", "HIN"), ("😍", "EMT")]

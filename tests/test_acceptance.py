@@ -17,11 +17,11 @@ from hcms.corpus import (CleaningConfig, build_vocab, clean, clean_corpus,
                          encode_corpus, parse_conll, serialize_conll)
 from hcms.layers import HCMSModel, ModelConfig, SelfAttentionLayer
 from hcms.metrics import score
-from hcms.synthetic import (load_mini_corpus, make_long_range_corpus,
+from synthetic import (load_mini_corpus, make_long_range_corpus,
                             make_mini_corpus)
-from hcms.train import (OptimizerConfig, Parameter, TrainConfig, adam_step,
-                        cross_entropy, cross_entropy_softmax_grad, evaluate,
-                        load_checkpoint, save_checkpoint, train)
+from hcms.train import (AdamState, OptimizerConfig, Parameter, TrainConfig,
+                        adam_step, cross_entropy, cross_entropy_softmax_grad,
+                        evaluate, load_checkpoint, save_checkpoint, train)
 from conftest import assert_close, central_diff
 from extra_ops import cross_entropy_backward
 from test_corpus import _random_records
@@ -177,7 +177,7 @@ def test_adam_first_step():
         g = float(rng.uniform(0.05, 1000.0)) * (1 if rng.integers(2) else -1)
         p = Parameter(np.array([0.0]))
         p.grad[:] = g
-        adam_step(p, DEFAULT_OPT)
+        adam_step(p, AdamState(p), DEFAULT_OPT)
         assert abs(p.value[0]) == pytest.approx(DEFAULT_OPT.lr, rel=1e-5)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hcms.cli import main
 from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, clean, encode,
                          parse_conll, serialize_conll)
-from hcms.synthetic import load_mini_corpus
+from synthetic import load_mini_corpus
 from hcms.train import load_checkpoint
 
 FAST = ["--set", "embed_dim=12", "--set", "filters=6", "--set", "kernel=3",
@@ -163,6 +164,16 @@ def test_bad_checkpoint_exit_code(corpus_files, tmp_path):
     assert code == 4
 
 
+def swap_conv_entries(header):
+    """conv.filters and conv.bias trade places in the manifest, with offsets
+    that still follow one another."""
+    params = header["params"]
+    start = params[1]["offset"]
+    params[1], params[2] = params[2], params[1]
+    params[1]["offset"] = start
+    params[2]["offset"] = start + math.prod(params[1]["shape"])
+
+
 CORRUPT_HEADERS = {
     "no_vocab": lambda h: h.pop("vocab"),
     "offset_out_of_range": lambda h: h["params"][-1].update(offset=10 ** 9),
@@ -170,6 +181,9 @@ CORRUPT_HEADERS = {
     "vocab_size_string": lambda h: h["config"].update(vocab_size=str(h["config"]["vocab_size"])),
     "negative_kernel": lambda h: h["config"].update(kernel=-1),
     "short_vocab": lambda h: h.update(vocab=h["vocab"][:-1]),
+    "extra_list": lambda h: h.update(extra=[]),
+    "cleaning_string": lambda h: h["extra"].update(cleaning="x"),
+    "swapped_manifest": swap_conv_entries,
 }
 
 
@@ -187,6 +201,18 @@ def test_corrupt_header_exit_code(corpus_files, trained, tmp_path, corrupt):
                  "--input", str(corpus_files / "unlabeled.conll"),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+def test_diverging_run_exit_code(corpus_files, tmp_path):
+    # an lr this large overflows the parameters within the first epoch
+    out = tmp_path / "out"
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--val", str(corpus_files / "val.conll"),
+                 "--out-dir", str(out), *FAST, "--set", "lr=1e300"])
+    assert code == 5
+    assert not (out / "model.ckpt").exists()
+    assert not (out / "epochs.log").exists()
 
 
 def test_bad_config_key_exit_code(corpus_files, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hcms.corpus import (CleaningConfig, ConllParseError, TweetRecord,
                          Vocabulary, build_vocab, clean, clean_corpus,
                          corpus_stats, encode, parse_conll, serialize_conll)
-from hcms.synthetic import load_mini_corpus
+from synthetic import load_mini_corpus
 
 
 def rec(tokens, tags=None, label="positive", id="1"):

@@ -1,0 +1,125 @@
+"""The model's flat parameter store: its layout, and training over it
+against a per-parameter reference loop."""
+
+import numpy as np
+import pytest
+
+from hcms.layers import HCMSModel
+from hcms.metrics import score
+from hcms.train import (OptimizerConfig, TrainConfig, cross_entropy,
+                        cross_entropy_softmax_grad, evaluate, load_checkpoint,
+                        save_checkpoint, train)
+from test_train import tiny_config, tiny_data
+
+CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
+           "lang_features": {"lang_features": True}}
+
+
+def assert_tiles_store(model):
+    """Every parameter's value and grad are contiguous views into the store,
+    one after another in parameters() order, with no gap."""
+    store, offset = model.store, 0
+    for p in model.parameters().values():
+        for view, flat in ((p.value, store.value), (p.grad, store.grad)):
+            assert np.shares_memory(view, flat)
+            assert view.flags.c_contiguous
+            assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+        offset += p.value.size
+    assert offset == store.value.size == store.grad.size
+
+
+@pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS)
+def test_parameters_tile_the_store(tmp_path, overrides):
+    model = HCMSModel(tiny_config(**overrides), seed=0)
+    assert_tiles_store(model)
+    save_checkpoint(model, ["<pad>", "<unk>"], tmp_path / "m.ckpt")
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert_tiles_store(loaded)
+    assert loaded.store.value.tobytes() == model.store.value.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference: the training loop with one Adam state per named parameter
+
+def reference_adam_step(p, state, cfg):
+    """Bias-corrected Adam on one parameter with its own moments and step
+    count, in the operation order of hcms.train.adam_step."""
+    state["step"] += 1
+    g = p.grad
+    state["m"] *= cfg.beta1
+    state["m"] += (1.0 - cfg.beta1) * g
+    state["v"] *= cfg.beta2
+    t = (1.0 - cfg.beta2) * g
+    t *= g
+    state["v"] += t
+    np.divide(state["v"], 1.0 - cfg.beta2 ** state["step"], out=t)
+    np.sqrt(t, out=t)
+    t += cfg.epsilon
+    np.divide(state["m"], 1.0 - cfg.beta1 ** state["step"], out=g)
+    g *= cfg.lr
+    g /= t
+    p.value -= g
+    p.grad.fill(0.0)
+
+
+def reference_train(model, train_data, val_data, tcfg, ocfg):
+    """hcms.train.train with every step taken one named parameter at a time:
+    zero-grad, the Adam update, the best-F1 snapshot and its restore."""
+    n_classes = model.config.n_classes
+    rng = np.random.default_rng(tcfg.seed)
+    params = model.parameters()
+    states = {k: {"m": np.zeros(p.shape), "v": np.zeros(p.shape), "step": 0}
+              for k, p in params.items()}
+    best_f1, best_snapshot, log = -1.0, None, []
+    order = np.arange(len(train_data))
+    for p in params.values():
+        p.grad.fill(0.0)
+    for epoch in range(1, tcfg.epochs + 1):
+        if tcfg.shuffle:
+            rng.shuffle(order)
+        total_loss = 0.0
+        for start in range(0, len(order), tcfg.batch_size):
+            batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
+            ids, lang, lengths = model.fit_batch([(x, l) for x, l, _ in batch])
+            y = np.eye(n_classes)[[label for *_, label in batch]]
+            probs = model.forward(ids, lang, lengths)
+            total_loss += cross_entropy(y, probs)
+            model.backward(cross_entropy_softmax_grad(y, probs) / len(batch))
+            for k, p in params.items():
+                reference_adam_step(p, states[k], ocfg)
+        entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
+        trues, preds = evaluate(model, val_data, tcfg.batch_size)
+        report = score(trues, preds, n_classes)
+        entry["val_f1"] = report.weighted_f1
+        entry["val_acc"] = report.accuracy
+        if report.weighted_f1 > best_f1:
+            best_f1 = report.weighted_f1
+            best_snapshot = {k: p.value.copy() for k, p in params.items()}
+        log.append(entry)
+    for k, p in params.items():
+        p.value[...] = best_snapshot[k]
+    return log
+
+
+def lang_data(rng, n, vocab=16, length=6):
+    """tiny_data with a language one-hot row per token."""
+    return [(ids, np.eye(4)[rng.integers(4, size=length)].tolist(), label)
+            for ids, _, label in tiny_data(rng, n=n, vocab=vocab, length=length)]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_flat_update_matches_per_parameter_loop(name):
+    rng = np.random.default_rng(3)
+    make = lang_data if name == "lang_features" else tiny_data
+    data, val = make(rng, 10), make(rng, 5)
+    tcfg = TrainConfig(epochs=3, batch_size=4, seed=9)
+    ocfg = OptimizerConfig(lr=0.05)
+    models = [HCMSModel(tiny_config(**CONFIGS[name]), seed=4) for _ in range(2)]
+    flat_log = train(models[0], data, val, tcfg, ocfg)
+    ref_log = reference_train(models[1], data, val, tcfg, ocfg)
+    assert flat_log == ref_log
+    start = HCMSModel(tiny_config(**CONFIGS[name]), seed=4).store.value
+    assert not np.array_equal(models[0].store.value, start)
+    for (k, p), q in zip(models[0].parameters().items(),
+                         models[1].parameters().values()):
+        assert p.value.tobytes() == q.value.tobytes(), k

@@ -5,8 +5,9 @@ import pytest
 
 from hcms import tensor as T
 from hcms.layers import HCMSModel, ModelConfig
-from hcms.train import (CheckpointCorruptError, CheckpointShapeError,
-                        CheckpointVersionError, DataError, LabelError,
+from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
+                        CheckpointVersionError, DataError, DivergenceError,
+                        LabelError,
                         OptimizerConfig, Parameter, TrainConfig, adam_step,
                         cross_entropy, cross_entropy_softmax_grad,
                         load_checkpoint, save_checkpoint, train)
@@ -78,27 +79,29 @@ def test_fused_grad_matches_composed(rng):
 
 def test_adam_zero_gradient_is_noop():
     p = Parameter(np.array([1.0, -2.0]))
-    adam_step(p, DEFAULT_OPT)
+    s = AdamState(p)
+    adam_step(p, s, DEFAULT_OPT)
     assert p.value.tolist() == [1.0, -2.0]
-    assert p.step == 1
+    assert s.step == 1
 
 
 def test_adam_first_step_hand_value():
     p = Parameter(np.array([0.0]))
     p.grad[:] = 1.0
-    adam_step(p, DEFAULT_OPT)
+    adam_step(p, AdamState(p), DEFAULT_OPT)
     expected = 0.01 * 1.0 / (1.0 + 1e-7)
     assert p.value[0] == pytest.approx(-expected, rel=1e-12)
 
 
 def test_adam_two_steps_bias_correction():
     p = Parameter(np.array([0.0]))
+    s = AdamState(p)
     g = 0.7
     for _ in range(2):
         p.grad[:] = g
-        adam_step(p, DEFAULT_OPT)
-    assert p.step == 2
-    v_hat = p.v / (1 - DEFAULT_OPT.beta2 ** 2)
+        adam_step(p, s, DEFAULT_OPT)
+    assert s.step == 2
+    v_hat = s.v / (1 - DEFAULT_OPT.beta2 ** 2)
     assert v_hat[0] == pytest.approx(g * g, rel=1e-12)
 
 
@@ -107,7 +110,7 @@ def test_adam_first_step_magnitude_is_lr(rng):
         g = float(rng.uniform(0.05, 100.0)) * (1 if rng.integers(2) else -1)
         p = Parameter(np.array([3.0]))
         p.grad[:] = g
-        adam_step(p, DEFAULT_OPT)
+        adam_step(p, AdamState(p), DEFAULT_OPT)
         update = abs(p.value[0] - 3.0)
         assert update == pytest.approx(DEFAULT_OPT.lr, rel=1e-5)
         assert math.copysign(1, 3.0 - p.value[0]) == math.copysign(1, g)
@@ -116,7 +119,7 @@ def test_adam_first_step_magnitude_is_lr(rng):
 def test_adam_grad_zeroed_after_step():
     p = Parameter(np.array([0.0]))
     p.grad[:] = 1.0
-    adam_step(p, DEFAULT_OPT)
+    adam_step(p, AdamState(p), DEFAULT_OPT)
     assert np.all(p.grad == 0)
 
 
@@ -150,6 +153,24 @@ def test_train_determinism(rng):
     assert logs[0] == logs[1]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
+def test_train_raises_on_nonfinite_loss(rng):
+    m = HCMSModel(tiny_config(), seed=0)
+    with pytest.raises(DivergenceError, match="batch loss"):
+        train(m, tiny_data(rng), [], TrainConfig(epochs=3, batch_size=4),
+              OptimizerConfig(lr=1e300))
+
+
+def test_train_raises_on_nonfinite_parameters(rng):
+    # an embedding row no example reads: the losses stay finite, and Adam
+    # leaves the row as it is
+    m = HCMSModel(tiny_config(), seed=0)
+    m.embedding.table.value[15] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite parameters"):
+        train(m, tiny_data(rng, vocab=15), [], TrainConfig(epochs=1, batch_size=4),
+              DEFAULT_OPT)
+
+
 def test_single_step_decreases_loss(rng):
     for trial in range(5):
         m = HCMSModel(tiny_config(), seed=trial)
@@ -161,7 +182,7 @@ def test_single_step_decreases_loss(rng):
         m.zero_grad()
         m.backward(cross_entropy_softmax_grad(y, m.forward(ids)))
         for p in m.parameters().values():
-            adam_step(p, OptimizerConfig(lr=1e-4))
+            adam_step(p, AdamState(p), OptimizerConfig(lr=1e-4))
         after = cross_entropy(y, m.forward(ids))
         assert after < before
 
