@@ -21,7 +21,7 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      build_vocab, clean, clean_corpus, corpus_stats, encode,
                      encode_corpus, format_stats, format_stats_kv,
                      read_conll_file, serialize_conll)
-from .layers import HCMSModel, ModelConfig
+from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, CheckpointShapeError, DivergenceError,
                     OptimizerConfig, TrainConfig, evaluate, format_epoch,
@@ -35,24 +35,15 @@ EXIT_CHECKPOINT = 4
 EXIT_CONFIG = 5
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ModelConfig fields that are not run-config keys: vocab_size comes from the
 # corpus, lang_features from append_lang_onehot
 DERIVED_MODEL_KEYS = ("vocab_size", "lang_features")
 
 
 def _default_config():
-    cfg = {"seed": 0}
-    for dc in (CleaningConfig, TrainConfig, OptimizerConfig):
-        for f in fields(dc):
-            cfg[f.name] = f.default
-    for f in fields(ModelConfig):
-        if f.name not in DERIVED_MODEL_KEYS:
-            cfg[f.name] = f.default
-    return cfg
+    return {f.name: f.default
+            for dc in (CleaningConfig, TrainConfig, OptimizerConfig, ModelConfig)
+            for f in fields(dc) if f.name not in DERIVED_MODEL_KEYS}
 
 
 def _coerce(key, raw, template):
@@ -102,31 +93,19 @@ def load_run_config(config_path=None, overrides=(), seed=None):
     return cfg
 
 
-POSITIVE_KEYS = ("kernel", "stride", "pool", "pool_stride", "embed_dim", "filters",
-                 "attn_hidden", "batch_size", "epochs")
-
-
 def _validate(cfg):
     """Raise ConfigError unless cfg describes a model and a run that can train."""
-    def check(ok, message):
-        if not ok:
-            raise ConfigError(message)
-
-    for key in POSITIVE_KEYS:
-        check(cfg[key] >= 1, f"{key} must be at least 1, got {cfg[key]}")
-    k, L = cfg["kernel"], max(cfg["max_len"], cfg["kernel"])
-    conv = (L - k) // cfg["stride"] + 1
-    pooled = 1 if cfg["global_pool"] else (conv - cfg["pool"]) // cfg["pool_stride"] + 1
-    need = 2 if cfg["attention_enabled"] and not cfg["include_self"] else 1
-    check(pooled >= need, f"max_len {cfg['max_len']} gives {pooled} pooled position(s), "
-                          f"the model needs {need}")
-    check(cfg["n_classes"] == len(LABELS),
-          f"n_classes must be {len(LABELS)}, got {cfg['n_classes']}")
+    # vocab_size comes from the corpus later; the smallest vocabulary stands in
+    _model_config(cfg, len(Vocabulary(()))).validate()
+    for key in ("batch_size", "epochs"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     for key in ("lr", "epsilon"):
-        check(math.isfinite(cfg[key]) and cfg[key] > 0,
-              f"{key} must be finite and positive, got {cfg[key]}")
+        if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"{key} must be finite and positive, got {cfg[key]}")
     for key in ("beta1", "beta2"):
-        check(0 <= cfg[key] < 1, f"{key} must be in [0, 1), got {cfg[key]}")
+        if not 0 <= cfg[key] < 1:
+            raise ConfigError(f"{key} must be in [0, 1), got {cfg[key]}")
 
 
 def _write_config(cfg, out_dir):
@@ -135,19 +114,14 @@ def _write_config(cfg, out_dir):
 
 
 def _split_configs(cfg):
-    cleaning = CleaningConfig.from_dict(cfg)
-    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"],
-                       seed=cfg["seed"], shuffle=cfg["shuffle"])
-    ocfg = OptimizerConfig(lr=cfg["lr"], beta1=cfg["beta1"],
-                           beta2=cfg["beta2"], epsilon=cfg["epsilon"])
-    return cleaning, tcfg, ocfg
+    """(CleaningConfig, TrainConfig, OptimizerConfig) from a run config."""
+    return tuple(dc(**{f.name: cfg[f.name] for f in fields(dc)})
+                 for dc in (CleaningConfig, TrainConfig, OptimizerConfig))
 
 
 def _model_config(cfg, vocab_size):
-    kwargs = {f.name: cfg[f.name] for f in fields(ModelConfig)
-              if f.name not in DERIVED_MODEL_KEYS}
-    return ModelConfig(vocab_size=vocab_size, lang_features=cfg["append_lang_onehot"],
-                       **kwargs)
+    return ModelConfig.from_dict(dict(cfg, vocab_size=vocab_size,
+                                      lang_features=cfg["append_lang_onehot"]))
 
 
 def _load_corpus(path, strict=False):

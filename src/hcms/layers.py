@@ -13,7 +13,12 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import tensor as T
+from .corpus import LABELS
 from .tensor import Parameter
+
+
+class ConfigError(ValueError):
+    """A configuration that cannot build a model or run."""
 
 
 class AttentionDomainError(ValueError):
@@ -25,6 +30,13 @@ class VocabularyError(ValueError):
 
 
 NUM_LANG_TAGS = 4  # one-hot width for HIN/ENG/O/EMT
+
+
+def check_field_types(config):
+    """Raise ConfigError unless each dataclass field holds exactly its declared type."""
+    for f in fields(config):
+        if type(value := getattr(config, f.name)) is not f.type:
+            raise ConfigError(f"{f.name} must be {f.type.__name__}, got {value!r}")
 
 
 @dataclass
@@ -52,6 +64,29 @@ class ModelConfig:
     def from_dict(cls, d):
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in names})
+
+    def _conv_len(self, u):
+        return (u - self.kernel) // self.stride + 1
+
+    def out_len(self, u):
+        if self.global_pool:
+            return 1
+        return (self._conv_len(u) - self.pool) // self.pool_stride + 1
+
+    def validate(self):
+        """Raise ConfigError unless this config builds a model that runs."""
+        check_field_types(self)
+        # max_len may be below 1: a batch is padded to max(max_len, kernel)
+        for f in fields(self):
+            if f.type is int and f.name != "max_len" and (v := getattr(self, f.name)) < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {v}")
+        if self.n_classes != len(LABELS):
+            raise ConfigError(f"n_classes must be {len(LABELS)}, got {self.n_classes}")
+        pooled = self.out_len(max(self.max_len, self.kernel))
+        need = 2 if self.attention_enabled and not self.include_self else 1
+        if pooled < need:
+            raise ConfigError(f"max_len {self.max_len} gives {pooled} pooled "
+                              f"position(s), the model needs {need}")
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -101,13 +136,9 @@ class ConvBlock:
             rng, (n_filters, kernel, in_dim), kernel * in_dim, n_filters))
         self.bias = Parameter(np.zeros(n_filters))
 
-    def _conv_len(self, u):
-        return (u - self.kernel) // self.stride + 1
-
-    def out_len(self, u):
-        if self.global_pool:
-            return 1
-        return (self._conv_len(u) - self.pool) // self.pool_stride + 1
+    # the config's length arithmetic, over the same field names
+    _conv_len = ModelConfig._conv_len
+    out_len = ModelConfig.out_len
 
     def forward(self, X, lengths=None, keys=None):
         """Under global pooling, lengths [B] gives each example's length in a

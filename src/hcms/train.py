@@ -18,11 +18,12 @@ every parameter value exactly.
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import HCMSModel, ModelConfig
+from .corpus import CleaningConfig
+from .layers import HCMSModel, ModelConfig, check_field_types
 from .metrics import score
 from .tensor import Parameter
 
@@ -221,7 +222,7 @@ def save_checkpoint(model: HCMSModel, vocab_tokens, path, extra_config=None):
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(model.store.value.astype("<f8").tobytes())
+        fh.write(model.store.value.astype("<f8", copy=False))
 
 
 def load_checkpoint(path):
@@ -241,30 +242,24 @@ def load_checkpoint(path):
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointCorruptError(f"undecodable header: {exc}") from exc
-    body = raw[16 + hlen:]
-    if len(body) % 8:
+    if (len(raw) - 16 - hlen) % 8:
         raise CheckpointCorruptError("truncated checkpoint data section")
     try:
-        return _restore(header, np.frombuffer(body, dtype="<f8"))
+        return _restore(header, np.frombuffer(raw, dtype="<f8", offset=16 + hlen))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorruptError(f"malformed checkpoint header: {exc!r}") from exc
 
 
 def _restore(header, data):
     """(model, vocab_tokens, extra_config) from a decoded header and the data
-    section. A missing key or a value of the wrong type raises KeyError,
-    TypeError or ValueError, which load_checkpoint maps to a CheckpointError."""
+    section. A missing key or a value that breaks a run config's rules raises
+    KeyError, TypeError or ValueError, mapped to a CheckpointError by load_checkpoint."""
     extra = header["extra"]
     if not isinstance(extra, dict) or not isinstance(extra.get("cleaning", {}), dict):
         raise CheckpointCorruptError("extra and extra.cleaning must be JSON objects")
+    check_field_types(CleaningConfig.from_dict(extra.get("cleaning", {})))
     config = ModelConfig.from_dict(header["config"])
-    for f in fields(ModelConfig):
-        value = getattr(config, f.name)
-        # max_len may be below 1: a batch is padded to max(max_len, kernel)
-        if f.type is int and (type(value) is not int
-                              or (value < 1 and f.name != "max_len")):
-            raise CheckpointCorruptError(
-                f"config {f.name} must be a positive integer, got {value!r}")
+    config.validate()
     model = HCMSModel(config, seed=0)
     if header["params"] != _manifest(model) or data.size != model.store.value.size:
         raise CheckpointShapeError(

@@ -28,14 +28,25 @@ def corpus_files(tmp_path_factory):
     return root
 
 
-@pytest.fixture(scope="module")
-def trained(corpus_files, tmp_path_factory):
-    out = tmp_path_factory.mktemp("train_out")
+def _train(corpus_files, out, *settings):
     code = main(["train", "--train", str(corpus_files / "train.conll"),
                  "--val", str(corpus_files / "val.conll"),
-                 "--out-dir", str(out), "--seed", "1", *FAST])
+                 "--out-dir", str(out), "--seed", "1", *FAST, *settings])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def trained(corpus_files, tmp_path_factory):
+    return _train(corpus_files, tmp_path_factory.mktemp("train_out"))
+
+
+@pytest.fixture(scope="module")
+def trained_global_self(corpus_files, tmp_path_factory):
+    # global pooling leaves one position, which attention may use only with
+    # include_self; the head's width does not depend on either flag
+    return _train(corpus_files, tmp_path_factory.mktemp("train_global_self"),
+                  "--set", "global_pool=true", "--set", "include_self=true")
 
 
 def test_preprocess(corpus_files, tmp_path):
@@ -184,23 +195,41 @@ CORRUPT_HEADERS = {
     "extra_list": lambda h: h.update(extra=[]),
     "cleaning_string": lambda h: h["extra"].update(cleaning="x"),
     "swapped_manifest": swap_conv_entries,
+    # the flag would read as true: only a JSON bool is a bool
+    "attention_string_false": lambda h: h["config"].update(attention_enabled="false"),
+    "cleaning_flag_string": lambda h: h["extra"]["cleaning"].update(lowercase="false"),
 }
+
+
+def predict_with_header(corpus_files, checkpoint, tmp_path, edit):
+    """Exit code of predict on a copy of checkpoint whose header edit(header)
+    changed. The header is rewritten with its new length; the data stay."""
+    raw = checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    tmp_path.mkdir(exist_ok=True)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen:])
+    return main(["predict", "--checkpoint", str(bad),
+                 "--input", str(corpus_files / "unlabeled.conll"),
+                 "--out-dir", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("corrupt", CORRUPT_HEADERS.values(), ids=CORRUPT_HEADERS)
 def test_corrupt_header_exit_code(corpus_files, trained, tmp_path, corrupt):
-    # the header is edited and rewritten with its new length; the data stay
-    raw = (trained / "model.ckpt").read_bytes()
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16:16 + hlen])
-    corrupt(header)
-    text = json.dumps(header).encode("utf-8")
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen:])
-    code = main(["predict", "--checkpoint", str(bad),
-                 "--input", str(corpus_files / "unlabeled.conll"),
-                 "--out-dir", str(tmp_path / "out")])
-    assert code == 4
+    assert predict_with_header(corpus_files, trained / "model.ckpt", tmp_path,
+                               corrupt) == 4
+
+
+def test_include_self_false_exit_code(corpus_files, trained_global_self, tmp_path):
+    # include_self=false keeps the manifest but leaves attention one position;
+    # as a run config, the same settings exit 5
+    ckpt = trained_global_self / "model.ckpt"
+    assert predict_with_header(corpus_files, ckpt, tmp_path / "same", lambda h: None) == 0
+    assert predict_with_header(corpus_files, ckpt, tmp_path / "edit",
+                               lambda h: h["config"].update(include_self=False)) == 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow
