@@ -2,13 +2,17 @@
 dense softmax head, and the full classifier that composes them.
 
 Layers take a leading batch axis: one forward and one backward move a
-whole minibatch. Each layer caches whatever its backward pass needs in
-its _cache attribute, so a model is single-writer during training (forward
-immediately followed by backward). Gradients accumulate into Parameter.grad, summed
-over the batch; in an HCMSModel every Parameter is a view into one store.
+whole minibatch. A forward keeps what its backward needs in the layer's
+_cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
+the conv block its pooled output), and the backward takes the cache and
+releases it, so each backward needs a fresh forward and a model is
+single-writer during training. Gradients accumulate into Parameter.grad,
+summed over the batch; in an HCMSModel every Parameter is a view into one
+store.
 """
 
 from dataclasses import dataclass, asdict, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,6 +31,10 @@ class AttentionDomainError(ValueError):
 
 class VocabularyError(ValueError):
     """Token id outside the embedding table."""
+
+
+class NoForwardError(RuntimeError):
+    """A backward without a forward since the layer's last backward."""
 
 
 NUM_LANG_TAGS = 4  # one-hot width for HIN/ENG/O/EMT
@@ -73,6 +81,24 @@ class ModelConfig:
             return 1
         return (self._conv_len(u) - self.pool) // self.pool_stride + 1
 
+    def param_shapes(self):
+        """{name: shape} of every parameter of this config's model, in store
+        order; each name is the parameter's attribute path in HCMSModel. The
+        model builds its layers from these shapes."""
+        in_dim = self.embed_dim + (NUM_LANG_TAGS if self.lang_features else 0)
+        shapes = {"embedding.table": (self.vocab_size, self.embed_dim),
+                  "conv.filters": (self.filters, self.kernel, in_dim),
+                  "conv.bias": (self.filters,)}
+        if self.attention_enabled:
+            h = self.attn_hidden
+            shapes.update({"attention.W_t": (self.filters, h),
+                           "attention.W_c": (self.filters, h),
+                           "attention.b_t": (h,), "attention.W_a": (h, 1),
+                           "attention.b_a": (1,)})
+        width = self.out_len(max(self.max_len, self.kernel)) * self.filters
+        shapes.update({"head.W": (width, self.n_classes), "head.b": (self.n_classes,)})
+        return shapes
+
     def validate(self):
         """Raise ConfigError unless this config builds a model that runs."""
         check_field_types(self)
@@ -87,6 +113,15 @@ class ModelConfig:
         if pooled < need:
             raise ConfigError(f"max_len {self.max_len} gives {pooled} pooled "
                               f"position(s), the model needs {need}")
+
+
+def _take_cache(layer):
+    """The layer's forward cache, released: one forward serves one backward."""
+    cache = getattr(layer, "_cache", None)
+    if cache is None:
+        raise NoForwardError(f"{type(layer).__name__}.backward needs a forward first")
+    layer._cache = None
+    return cache
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -154,15 +189,16 @@ class ConvBlock:
                 R = np.where(valid[..., None], R, -np.inf)
         else:
             pool, stride = self.pool, self.pool_stride
-        self._cache = (X, R, pool, stride, keys)
-        return T.maxpool1d(R, pool, stride)
+        C = T.maxpool1d(R, pool, stride)
+        self._cache = (X, R, C, pool, stride, keys)
+        return C
 
     def backward(self, dC):
         """Returns (dX, keys). After a keyed forward, dX holds one row per
         distinct key and keys are those keys, sorted (see tensor.conv1d_backward);
         otherwise dX has X's shape and keys is None."""
-        X, R, pool, stride, keys = self._cache
-        dR = T.maxpool1d_backward(dC, R, pool, stride)
+        X, R, C, pool, stride, keys = _take_cache(self)
+        dR = T.maxpool1d_backward(dC, R, pool, stride, C)
         dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
         dX, dF, dB = T.conv1d_backward(dZ, X, self.filters.value, self.stride,
                                        keys)
@@ -191,8 +227,8 @@ class SelfAttentionLayer:
 
     def _hidden(self, Tq, Kc):
         """tanh(c_t W_t + c_t' W_c + b_t) for every pair: [B, v, v, hidden].
-        The model's largest array, so it is built in place and not cached:
-        backward rebuilds it."""
+        The model's largest array, so it is built in place; forward caches it
+        and backward reuses its buffer for the gradient."""
         H = Tq[..., :, None, :] + Kc[..., None, :, :]
         H += self.b_t.value
         return np.tanh(H, out=H)
@@ -208,17 +244,18 @@ class SelfAttentionLayer:
             np.fill_diagonal(mask, False)
         Tq = C @ self.W_t.value          # [B, v, h] query side
         Kc = C @ self.W_c.value          # [B, v, h] key side
-        E = self._hidden(Tq, Kc) @ self.W_a.value[:, 0] + self.b_a.value[0]  # [B, v, v]
+        H = self._hidden(Tq, Kc)
+        E = H @ self.W_a.value[:, 0] + self.b_a.value[0]  # [B, v, v]
         S = T.sigmoid(E) if self.score_sigmoid else E
         logits = np.where(mask, S, -np.inf)
         Q = T.softmax(logits)            # rows sum to 1 over the attended set
         A = Q @ C                        # [B, v, dim]
-        self._cache = (C, mask, Tq, Kc, S, Q)
+        self._cache = (C, mask, H, S, Q)
         self.weights = Q
         return A.reshape(A.shape[:-2] + (-1,))
 
     def backward(self, dG):
-        C, mask, Tq, Kc, S, Q = self._cache
+        C, mask, H, S, Q = _take_cache(self)
         dA = dG.reshape(C.shape)
         dC = Q.swapaxes(-1, -2) @ dA
         dQ = dA @ C.swapaxes(-1, -2)
@@ -226,7 +263,6 @@ class SelfAttentionLayer:
         dE = T.sigmoid_backward(dS, S) if self.score_sigmoid else dS
         dE = np.where(mask, dE, 0.0)
         dim, hidden = self.W_t.shape
-        H = self._hidden(Tq, Kc)
         self.W_a.grad[:, 0] += dE.reshape(-1) @ H.reshape(-1, hidden)
         self.b_a.grad[0] += dE.sum()
         dPre = H                         # tanh' = 1 - H^2, in H's buffer
@@ -259,11 +295,11 @@ class DenseHead:
 
     def backward(self, dlogits):
         """Takes the gradient at the pre-softmax logits."""
-        G = self._cache.reshape(-1, self.W.shape[0])
+        G = _take_cache(self)
         d = dlogits.reshape(-1, self.W.shape[1])
-        self.W.grad += G.T @ d
+        self.W.grad += G.reshape(-1, self.W.shape[0]).T @ d
         self.b.grad += d.sum(axis=0)
-        return (d @ self.W.value.T).reshape(self._cache.shape)
+        return (d @ self.W.value.T).reshape(G.shape)
 
 
 class HCMSModel:
@@ -274,17 +310,16 @@ class HCMSModel:
         cfg = config
         self.config = cfg
         rng = np.random.default_rng(seed)
-        in_dim = cfg.embed_dim + (NUM_LANG_TAGS if cfg.lang_features else 0)
-        self.embedding = EmbeddingLayer(cfg.vocab_size, cfg.embed_dim, rng)
-        self.conv = ConvBlock(in_dim, cfg.filters, cfg.kernel, cfg.stride,
+        shapes = cfg.param_shapes()
+        self.embedding = EmbeddingLayer(*shapes["embedding.table"], rng)
+        n_filters, kernel, in_dim = shapes["conv.filters"]
+        self.conv = ConvBlock(in_dim, n_filters, kernel, cfg.stride,
                               cfg.pool, cfg.pool_stride, cfg.global_pool, rng)
         self.attention = None
         if cfg.attention_enabled:
             self.attention = SelfAttentionLayer(
-                cfg.filters, cfg.attn_hidden, cfg.include_self,
-                cfg.score_sigmoid, rng)
-        self._v = self.conv.out_len(max(cfg.max_len, cfg.kernel))
-        self.head = DenseHead(self._v * cfg.filters, cfg.n_classes, rng)
+                *shapes["attention.W_t"], cfg.include_self, cfg.score_sigmoid, rng)
+        self.head = DenseHead(*shapes["head.W"], rng)
         # every value and grad becomes a view into one store, in parameters() order
         params = self.parameters().values()
         self.store = Parameter(np.concatenate([p.value.ravel() for p in params]))
@@ -296,22 +331,8 @@ class HCMSModel:
             offset = end
 
     def parameters(self):
-        params = {
-            "embedding.table": self.embedding.table,
-            "conv.filters": self.conv.filters,
-            "conv.bias": self.conv.bias,
-        }
-        if self.attention is not None:
-            params.update({
-                "attention.W_t": self.attention.W_t,
-                "attention.W_c": self.attention.W_c,
-                "attention.b_t": self.attention.b_t,
-                "attention.W_a": self.attention.W_a,
-                "attention.b_a": self.attention.b_a,
-            })
-        params["head.W"] = self.head.W
-        params["head.b"] = self.head.b
-        return params
+        """{name: Parameter} in store order (ModelConfig.param_shapes)."""
+        return {name: attrgetter(name)(self) for name in self.config.param_shapes()}
 
     def zero_grad(self):
         self.store.zero_grad()

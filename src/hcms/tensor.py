@@ -155,20 +155,23 @@ def maxpool1d(x, pool, stride):
     return out
 
 
-def maxpool1d_backward(dout, x, pool, stride):
+def maxpool1d_backward(dout, x, pool, stride, out=None):
+    """dx for maxpool1d: each window's gradient goes to the first offset
+    that holds its maximum, read off out = maxpool1d(x, pool, stride) (the
+    forward's result; computed here when not given). Overlapping windows add
+    their shares offset by offset."""
     dout = as_tensor(dout)
-    vp = (x.shape[-2] - pool) // stride + 1
-    # a strict > keeps the first maximal offset, which pins the tie rule
-    best = x[..., _strided(vp, stride), :]
-    arg = np.zeros(best.shape, dtype=np.intp)
-    for j in range(1, pool):
-        xj = x[..., _strided(vp, stride, j), :]
-        better = xj > best
-        arg[better] = j
-        best = np.where(better, xj, best)
+    if out is None:
+        out = maxpool1d(x, pool, stride)
+    vp = out.shape[-2]
     dx = np.zeros_like(x)
+    todo = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet found
+    hit = np.empty(out.shape, dtype=bool)
     for j in range(pool):
-        dx[..., _strided(vp, stride, j), :] += np.where(arg == j, dout, 0.0)
+        np.equal(x[..., _strided(vp, stride, j), :], out, out=hit)
+        hit &= todo
+        todo ^= hit
+        dx[..., _strided(vp, stride, j), :] += np.where(hit, dout, 0.0)
     return dx
 
 

@@ -17,6 +17,7 @@ every parameter value exactly.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -100,27 +101,43 @@ class AdamState:
         self.step = 0
 
 
+# Scalars per block of the Adam update: a block of the value, gradient,
+# moments and scratch (5 x 256 KB) stays in a core's L2 cache through all of
+# the update's element-wise passes.
+_BLOCK = 1 << 15
+
+
 def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
     """Standard bias-corrected Adam update, in place; zeroes the gradient
-    afterwards."""
+    afterwards. Runs block by block over the flattened arrays, with the same
+    per-element operations in the same order as one pass over the whole."""
     state.step += 1
-    g = param.grad
-    state.m *= cfg.beta1
-    state.m += (1.0 - cfg.beta1) * g
-    state.v *= cfg.beta2
-    t = (1.0 - cfg.beta2) * g
-    t *= g
-    state.v += t
-    # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t and
-    # in the gradient buffer, which is zeroed afterwards
-    np.divide(state.v, 1.0 - cfg.beta2 ** state.step, out=t)
-    np.sqrt(t, out=t)
-    t += cfg.epsilon
-    np.divide(state.m, 1.0 - cfg.beta1 ** state.step, out=g)
-    g *= cfg.lr
-    g /= t
-    param.value -= g
-    param.zero_grad()
+    m_scale = 1.0 - cfg.beta1 ** state.step
+    v_scale = 1.0 - cfg.beta2 ** state.step
+    value, grad, m, v = (a.reshape(-1, copy=False)
+                         for a in (param.value, param.grad, state.m, state.v))
+    scratch = np.empty(min(value.size, _BLOCK))
+    for start in range(0, value.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        g, mb, vb = grad[blk], m[blk], v[blk]
+        t = scratch[:g.size]
+        mb *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=t)
+        mb += t
+        vb *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=t)
+        t *= g
+        vb += t
+        # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t
+        # and in the gradient block, which is zeroed afterwards
+        np.divide(vb, v_scale, out=t)
+        np.sqrt(t, out=t)
+        t += cfg.epsilon
+        np.divide(mb, m_scale, out=g)
+        g *= cfg.lr
+        g /= t
+        value[blk] -= g
+        g.fill(0.0)
 
 
 def predict(model, data, batch_size):
@@ -202,12 +219,14 @@ def format_epoch(entry):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _manifest(model):
-    """[{name, shape, offset}]: where each parameter's view starts in the store."""
-    base = model.store.value.ctypes.data
-    return [{"name": name, "shape": list(p.shape),
-             "offset": (p.value.ctypes.data - base) // p.value.itemsize}
-            for name, p in model.parameters().items()]
+def _manifest(config):
+    """([{name, shape, offset}], store size) of config's model: where each
+    parameter's view starts in the store, from ModelConfig.param_shapes."""
+    manifest, offset = [], 0
+    for name, shape in config.param_shapes().items():
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
+    return manifest, offset
 
 
 def save_checkpoint(model: HCMSModel, vocab_tokens, path, extra_config=None):
@@ -215,7 +234,7 @@ def save_checkpoint(model: HCMSModel, vocab_tokens, path, extra_config=None):
         "config": model.config.to_dict(),
         "extra": extra_config or {},
         "vocab": list(vocab_tokens),
-        "params": _manifest(model),
+        "params": _manifest(model.config)[0],
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -260,10 +279,12 @@ def _restore(header, data):
     check_field_types(CleaningConfig.from_dict(extra.get("cleaning", {})))
     config = ModelConfig.from_dict(header["config"])
     config.validate()
-    model = HCMSModel(config, seed=0)
-    if header["params"] != _manifest(model) or data.size != model.store.value.size:
+    # checked before the model is built, so the header's sizes are never allocated
+    manifest, size = _manifest(config)
+    if header["params"] != manifest or data.size != size:
         raise CheckpointShapeError(
             f"manifest or data section ({data.size} values) does not match the "
-            "model's layout")
+            "config's layout")
+    model = HCMSModel(config, seed=0)
     model.store.value[...] = data
     return model, header["vocab"], extra

@@ -5,13 +5,15 @@ flat vector, so matmul, add, tanh and concat and their backward passes
 (and the cross-entropy gradient at the probabilities, which the fused
 softmax gradient replaces) have no caller in the library. They live here
 with their tests. Importing this module as `T` gives those tests every
-library op and these in one namespace.
+library op and these in one namespace. maxpool1d_backward_where is the
+pool backward that finds each window's argmax again, kept as the oracle of
+the library's, which reads it off the pooled output.
 """
 
 import numpy as np
 
 from hcms.tensor import *  # noqa: F401,F403 - the library ops, re-exported
-from hcms.tensor import ShapeError, as_tensor
+from hcms.tensor import ShapeError, _strided, as_tensor
 from hcms.train import PROB_FLOOR
 
 
@@ -65,6 +67,26 @@ def concat_backward(dout, lengths):
         out.append(dout[off:off + n])
         off += n
     return out
+
+
+# ---------------------------------------------------------------------------
+# maxpool1d backward, argmax found again by a where loop
+
+def maxpool1d_backward_where(dout, x, pool, stride):
+    dout = as_tensor(dout)
+    vp = (x.shape[-2] - pool) // stride + 1
+    # a strict > keeps the first maximal offset, which pins the tie rule
+    best = x[..., _strided(vp, stride), :]
+    arg = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, pool):
+        xj = x[..., _strided(vp, stride, j), :]
+        better = xj > best
+        arg[better] = j
+        best = np.where(better, xj, best)
+    dx = np.zeros_like(x)
+    for j in range(pool):
+        dx[..., _strided(vp, stride, j), :] += np.where(arg == j, dout, 0.0)
+    return dx
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ CORRUPT_HEADERS = {
     # the flag would read as true: only a JSON bool is a bool
     "attention_string_false": lambda h: h["config"].update(attention_enabled="false"),
     "cleaning_flag_string": lambda h: h["extra"]["cleaning"].update(lowercase="false"),
+    # rejected before a model with a terabyte-sized embedding table is built
+    "vocab_size_huge": lambda h: h["config"].update(vocab_size=10 ** 12),
 }
 
 

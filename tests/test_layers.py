@@ -3,7 +3,7 @@ import pytest
 
 from hcms import tensor as T
 from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
-                         EmbeddingLayer, HCMSModel, ModelConfig,
+                         EmbeddingLayer, HCMSModel, ModelConfig, NoForwardError,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
@@ -385,6 +385,38 @@ def test_batched_loss_gradcheck(rng):
         if name == "embedding.table":
             numeric[0] = 0.0  # PAD row is frozen by design
         assert_close(par.grad, numeric, rtol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# forward caches: one forward serves one backward
+
+def test_caches_released_after_backward_and_predict(rng):
+    m = HCMSModel(tiny_config(), seed=5)
+    examples, Y = _ragged_batch(rng, m.config)
+    batch = m.fit_batch(examples)
+    layers = (m.conv, m.attention, m.head)
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    assert all(layer._cache is None for layer in layers)
+    m.predict(*batch)
+    assert all(layer._cache is None for layer in layers)
+
+
+def test_backward_needs_fresh_forward(rng):
+    m = HCMSModel(tiny_config(), seed=5)
+    examples, Y = _ragged_batch(rng, m.config)
+    batch = m.fit_batch(examples)
+    dlogits = cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3))
+    with pytest.raises(NoForwardError, match="DenseHead"):
+        m.backward(dlogits)
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    with pytest.raises(NoForwardError, match="DenseHead"):
+        m.backward(dlogits)
+    m.predict(*batch)
+    C = np.zeros((len(Y), 6, 3))
+    with pytest.raises(NoForwardError, match="SelfAttentionLayer"):
+        m.attention.backward(C.reshape(len(Y), -1))
+    with pytest.raises(NoForwardError, match="ConvBlock"):
+        m.conv.backward(C)
 
 
 # ---------------------------------------------------------------------------

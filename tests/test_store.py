@@ -6,7 +6,9 @@ import pytest
 
 from hcms.layers import HCMSModel
 from hcms.metrics import score
-from hcms.train import (OptimizerConfig, TrainConfig, cross_entropy,
+from hcms.tensor import Parameter
+from hcms.train import (_BLOCK, AdamState, OptimizerConfig, TrainConfig,
+                        adam_step, cross_entropy,
                         cross_entropy_softmax_grad, evaluate, load_checkpoint,
                         save_checkpoint, train)
 from test_train import tiny_config, tiny_data
@@ -38,6 +40,15 @@ def test_parameters_tile_the_store(tmp_path, overrides):
     assert loaded.store.value.tobytes() == model.store.value.tobytes()
 
 
+@pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS)
+def test_param_shapes_describe_the_model(overrides):
+    # the checkpoint's manifest is read off this table before any model is built
+    config = tiny_config(**overrides)
+    model = HCMSModel(config, seed=0)
+    assert [(k, p.shape) for k, p in model.parameters().items()] == list(
+        config.param_shapes().items())
+
+
 # ---------------------------------------------------------------------------
 # reference: the training loop with one Adam state per named parameter
 
@@ -60,6 +71,26 @@ def reference_adam_step(p, state, cfg):
     g /= t
     p.value -= g
     p.grad.fill(0.0)
+
+
+def test_blocked_update_matches_one_pass():
+    # several blocks and a ragged tail; the tiny models fit in one block
+    rng = np.random.default_rng(11)
+    size = 3 * _BLOCK + 77
+    cfg = OptimizerConfig(lr=0.05)
+    p = Parameter(rng.normal(size=size))
+    q = Parameter(p.value.copy())
+    state, ref = AdamState(p), {"m": np.zeros(size), "v": np.zeros(size), "step": 0}
+    for _ in range(4):
+        grad = rng.normal(scale=rng.uniform(1e-3, 10), size=size)
+        p.grad[:] = grad
+        q.grad[:] = grad
+        adam_step(p, state, cfg)
+        reference_adam_step(q, ref, cfg)
+        assert not p.grad.any()
+        assert state.step == ref["step"]
+        for ours, theirs in ((p.value, q.value), (state.m, ref["m"]), (state.v, ref["v"])):
+            assert ours.tobytes() == theirs.tobytes()
 
 
 def reference_train(model, train_data, val_data, tcfg, ocfg):

@@ -274,6 +274,26 @@ def test_maxpool_gradcheck(rng):
         assert_close(dx, central_diff(lambda a: float((T.maxpool1d(a, 2, 2) * w).sum()), x))
 
 
+POOL_SHAPES = {"2/2": (2, 2), "2/1": (2, 1), "3/1": (3, 1), "global": (None, 1)}
+
+
+@pytest.mark.parametrize("pool, stride", POOL_SHAPES.values(), ids=POOL_SHAPES)
+def test_maxpool_backward_matches_where_loop(rng, pool, stride):
+    # ReLU outputs of small integers: zeros and equal maxima tie in most windows
+    v = 9
+    for _ in range(20):
+        x = T.relu(rng.integers(-3, 3, size=(4, v, 5)).astype(np.float64))
+        if pool is None:  # global pooling, positions past each length masked
+            lengths = rng.integers(1, v + 1, size=len(x))
+            x[np.arange(v) >= lengths[:, None]] = -np.inf
+        window = pool or v
+        out = T.maxpool1d(x, window, stride)
+        dout = rng.uniform(-1, 1, size=out.shape)
+        expected = T.maxpool1d_backward_where(dout, x, window, stride)
+        assert T.maxpool1d_backward(dout, x, window, stride, out).tobytes() == expected.tobytes()
+        assert T.maxpool1d_backward(dout, x, window, stride).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
