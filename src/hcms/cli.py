@@ -5,9 +5,9 @@ override file values, and --seed overrides the seed key. Every command
 writes its resolved configuration next to its outputs so any reported
 number is reproducible from the artifacts alone.
 
-Exit codes: 0 success, 2 missing/unreadable file, 3 corpus parse error,
-4 checkpoint error, 5 configuration error or a training run that diverged
-(non-finite loss or parameters), 1 anything else.
+Exit codes: 0 success, 2 missing/unreadable file, 3 corpus parse error or a
+corpus with no labeled record, 4 checkpoint error, 5 configuration error or
+a training run that diverged (non-finite loss or parameters), 1 anything else.
 """
 
 import argparse
@@ -23,9 +23,9 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      read_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
-from .train import (CheckpointError, CheckpointShapeError, DivergenceError,
-                    OptimizerConfig, TrainConfig, evaluate, format_epoch,
-                    load_checkpoint, predict, save_checkpoint, train)
+from .train import (CheckpointError, CheckpointShapeError, DataError,
+                    DivergenceError, OptimizerConfig, TrainConfig, evaluate,
+                    format_epoch, load_checkpoint, predict, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -97,9 +97,9 @@ def _validate(cfg):
     """Raise ConfigError unless cfg describes a model and a run that can train."""
     # vocab_size comes from the corpus later; the smallest vocabulary stands in
     _model_config(cfg, len(Vocabulary(()))).validate()
-    for key in ("batch_size", "epochs"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
     for key in ("lr", "epsilon"):
         if not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} must be finite and positive, got {cfg[key]}")
@@ -132,8 +132,11 @@ def _load_corpus(path, strict=False):
 
 
 def _prepare(path, cleaning):
-    """The cleaned records of a corpus file."""
-    return clean_corpus(_load_corpus(path)[0], cleaning)[0]
+    """The cleaned labeled records of a corpus file; DataError if none."""
+    records = [r for r in _load_corpus(path)[0] if r.label is not None]
+    if not (cleaned := clean_corpus(records, cleaning)[0]):
+        raise DataError(f"no labeled record in {path}")
+    return cleaned
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +211,7 @@ def _load_for_inference(checkpoint):
 @_command
 def cmd_eval(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    records, _ = _load_corpus(args.input)
-    cleaned, _ = clean_corpus([r for r in records if r.label is not None], cleaning)
-    data = encode_corpus(cleaned, vocab, cleaning)
+    data = encode_corpus(_prepare(args.input, cleaning), vocab, cleaning)
     trues, preds = evaluate(model, data, cfg["batch_size"])
     report = score(trues, preds, model.config.n_classes)
     (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
@@ -346,8 +347,8 @@ def main(argv=None):
     except (FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except ConllParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+    except (ConllParseError, DataError) as exc:
+        print(f"corpus error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)

@@ -4,9 +4,10 @@ dense softmax head, and the full classifier that composes them.
 Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. A forward keeps what its backward needs in the layer's
 _cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
-the conv block its pooled output), and the backward takes the cache and
-releases it, so each backward needs a fresh forward and a model is
-single-writer during training. Gradients accumulate into Parameter.grad,
+the conv block its pooled output and the batch layout that
+tensor.distinct_rows builds once per forward), and the backward takes the
+cache and releases it, so each backward needs a fresh forward and a model
+is single-writer during training. Gradients accumulate into Parameter.grad,
 summed over the batch; in an HCMSModel every Parameter is a view into one
 store.
 """
@@ -179,9 +180,9 @@ class ConvBlock:
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
         -inf before the max, so padding never wins it. keys [B, u], if given,
-        name equal rows of X (see tensor.conv1d)."""
-        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
-                            keys=keys))
+        name equal rows of X (see tensor.distinct_rows)."""
+        layout = T.distinct_rows(X, keys)
+        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride, layout))
         if self.global_pool:
             pool, stride = R.shape[-2], 1
             if lengths is not None:
@@ -190,21 +191,21 @@ class ConvBlock:
         else:
             pool, stride = self.pool, self.pool_stride
         C = T.maxpool1d(R, pool, stride)
-        self._cache = (X, R, C, pool, stride, keys)
+        self._cache = (X, R, C, pool, stride, layout)
         return C
 
     def backward(self, dC):
         """Returns (dX, keys). After a keyed forward, dX holds one row per
         distinct key and keys are those keys, sorted (see tensor.conv1d_backward);
         otherwise dX has X's shape and keys is None."""
-        X, R, C, pool, stride, keys = _take_cache(self)
+        X, R, C, pool, stride, layout = _take_cache(self)
         dR = T.maxpool1d_backward(dC, R, pool, stride, C)
         dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
         dX, dF, dB = T.conv1d_backward(dZ, X, self.filters.value, self.stride,
-                                       keys)
+                                       layout)
         self.filters.grad += dF
         self.bias.grad += dB
-        return dX, (None if keys is None else np.unique(keys))
+        return dX, layout[2]
 
 
 class SelfAttentionLayer:
@@ -239,29 +240,27 @@ class SelfAttentionLayer:
         if v < min_v:
             raise AttentionDomainError(
                 f"need at least {min_v} context vectors, got {v}")
-        mask = np.ones((v, v), dtype=bool)
-        if not self.include_self:
-            np.fill_diagonal(mask, False)
         Tq = C @ self.W_t.value          # [B, v, h] query side
         Kc = C @ self.W_c.value          # [B, v, h] key side
         H = self._hidden(Tq, Kc)
         E = H @ self.W_a.value[:, 0] + self.b_a.value[0]  # [B, v, v]
         S = T.sigmoid(E) if self.score_sigmoid else E
-        logits = np.where(mask, S, -np.inf)
+        logits = S.copy()                # sigmoid_backward reads S itself
+        if not self.include_self:
+            logits[..., range(v), range(v)] = -np.inf
         Q = T.softmax(logits)            # rows sum to 1 over the attended set
         A = Q @ C                        # [B, v, dim]
-        self._cache = (C, mask, H, S, Q)
+        self._cache = (C, H, S, Q)
         self.weights = Q
         return A.reshape(A.shape[:-2] + (-1,))
 
     def backward(self, dG):
-        C, mask, H, S, Q = _take_cache(self)
+        C, H, S, Q = _take_cache(self)
         dA = dG.reshape(C.shape)
         dC = Q.swapaxes(-1, -2) @ dA
         dQ = dA @ C.swapaxes(-1, -2)
         dS = T.softmax_backward(dQ, Q)
         dE = T.sigmoid_backward(dS, S) if self.score_sigmoid else dS
-        dE = np.where(mask, dE, 0.0)
         dim, hidden = self.W_t.shape
         self.W_a.grad[:, 0] += dE.reshape(-1) @ H.reshape(-1, hidden)
         self.b_a.grad[0] += dE.sum()

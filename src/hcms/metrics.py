@@ -14,7 +14,7 @@ from .corpus import LABELS
 
 
 class EvaluationError(ValueError):
-    """Label lists unusable (empty or mismatched lengths)."""
+    """Label lists unusable (empty, mismatched lengths or not class indices)."""
 
 
 @dataclass
@@ -60,9 +60,11 @@ def score(true_labels, pred_labels, n_classes=3):
     if len(true_labels) != len(pred_labels):
         raise EvaluationError(
             f"length mismatch: {len(true_labels)} true vs {len(pred_labels)} predicted")
+    labels = np.asarray([true_labels, pred_labels])
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
+        raise EvaluationError(f"labels must be class indices in [0, {n_classes})")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true_labels, pred_labels):
-        cm[t, p] += 1
+    np.add.at(cm, tuple(labels), 1)
     total = cm.sum()
     warnings = 0
     precision, recall, f1, support = [], [], [], []
@@ -70,14 +72,9 @@ def score(true_labels, pred_labels, n_classes=3):
         tp = cm[c, c]
         pred_c = cm[:, c].sum()
         true_c = cm[c, :].sum()
-        if pred_c == 0:
-            warnings += 1
         p = tp / pred_c if pred_c else 0.0
-        if true_c == 0:
-            warnings += 1
         r = tp / true_c if true_c else 0.0
-        if p + r == 0:
-            warnings += 1
+        warnings += int(pred_c == 0) + int(true_c == 0) + int(p + r == 0)
         precision.append(float(p))
         recall.append(float(r))
         f1.append(float(2 * p * r / (p + r)) if p + r else 0.0)

@@ -44,11 +44,11 @@ class Parameter:
 #
 # conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
 #
-# One layout serves both directions: the distinct input rows [n, d] and an
-# index map inv [examples, u] from each position to its row. keys [..., u],
-# when given, say which rows are equal (equal keys promise equal rows, as
-# equal token ids do), so a row that repeats, PAD above all, is one row;
-# without keys every position is its own row.
+# One layout serves both directions: distinct_rows(x, keys) gives the distinct
+# input rows [n, d], an index map inv [examples, u] from each position to its
+# row and the sorted distinct keys. keys [..., u] say which rows are equal
+# (equal keys promise equal rows, as equal token ids do), so a row that
+# repeats, PAD above all, is one row; without keys each position is its own.
 #
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
@@ -69,15 +69,15 @@ def _strided(v, stride, start=0):
     return slice(start, start + stride * (v - 1) + 1, stride)
 
 
-def _distinct_rows(x, keys):
-    """(rows, inv): one row of x [..., u, d] per distinct key, in sorted key
-    order, and inv [examples, u] giving each position's row."""
+def distinct_rows(x, keys=None):
+    """(rows, inv, distinct): the layout of x [..., u, d] under keys, as
+    above; distinct is None without keys."""
     u, d = x.shape[-2:]
     rows = x.reshape(-1, d)
     if keys is None:
-        return rows, np.arange(len(rows)).reshape(-1, u)
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inv.reshape(-1, u)
+        return rows, np.arange(len(rows)).reshape(-1, u), None
+    distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inv.reshape(-1, u), distinct
 
 
 def group_sum(keys, values):
@@ -94,7 +94,7 @@ def group_sum(keys, values):
     return run_keys[starts], np.add.reduceat(values[order], starts, axis=0)
 
 
-def conv1d(x, filters, bias, stride=1, keys=None):
+def conv1d(x, filters, bias, stride=1, layout=None):
     x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
     u, d = x.shape[-2:]
     f, k, fd = filters.shape
@@ -103,7 +103,7 @@ def conv1d(x, filters, bias, stride=1, keys=None):
     if u < k:
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
-    rows, inv = _distinct_rows(x, keys)
+    rows, inv, _ = layout or distinct_rows(x)
     taps = rows @ filters.transpose(1, 2, 0)  # [k, distinct rows, f]
     out = taps[0].take(inv[:, _strided(v, stride)], axis=0)
     out += bias
@@ -112,13 +112,13 @@ def conv1d(x, filters, bias, stride=1, keys=None):
     return out.reshape(x.shape[:-2] + (v, f))
 
 
-def conv1d_backward(dout, x, filters, stride=1, keys=None):
-    """Returns (dx, dfilters, dbias) for conv1d. With keys, dx [n, d] holds
-    one row per distinct key, in sorted key order: the summed gradient of
-    the positions sharing that key. Without keys dx has x's shape."""
+def conv1d_backward(dout, x, filters, stride=1, layout=None):
+    """Returns (dx, dfilters, dbias) for conv1d. After a keyed layout, dx
+    [n, d] holds one row per distinct key, in sorted key order: the summed
+    gradient of the positions sharing that key. Otherwise dx has x's shape."""
     dout, x = as_tensor(dout), as_tensor(x)
     f, k, d = filters.shape
-    rows, inv = _distinct_rows(x, keys)
+    rows, inv, keys = layout or distinct_rows(x)
     g = dout.reshape(-1, f)
     dx, dfilters = np.zeros((len(rows), d)), np.empty(filters.shape)
     for j in range(k):

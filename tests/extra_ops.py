@@ -7,14 +7,31 @@ softmax gradient replaces) have no caller in the library. They live here
 with their tests. Importing this module as `T` gives those tests every
 library op and these in one namespace. maxpool1d_backward_where is the
 pool backward that finds each window's argmax again, kept as the oracle of
-the library's, which reads it off the pooled output.
+the library's, which reads it off the pooled output. conv1d and
+conv1d_backward take raw keys here, as the tests' oracles are written, and
+build the layout the library ops take.
 """
 
 import numpy as np
 
+from hcms import tensor
 from hcms.tensor import *  # noqa: F401,F403 - the library ops, re-exported
 from hcms.tensor import ShapeError, _strided, as_tensor
 from hcms.train import PROB_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# conv1d with raw keys
+
+def conv1d(x, filters, bias, stride=1, keys=None):
+    x = as_tensor(x)
+    return tensor.conv1d(x, filters, bias, stride, tensor.distinct_rows(x, keys))
+
+
+def conv1d_backward(dout, x, filters, stride=1, keys=None):
+    x = as_tensor(x)
+    return tensor.conv1d_backward(dout, x, filters, stride,
+                                  tensor.distinct_rows(x, keys))
 
 
 # ---------------------------------------------------------------------------

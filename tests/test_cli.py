@@ -15,6 +15,11 @@ FAST = ["--set", "embed_dim=12", "--set", "filters=6", "--set", "kernel=3",
         "--set", "batch_size=8"]
 
 
+def _unlabeled(records):
+    return [type(r)(id=r.id, tokens=r.tokens, lang_tags=r.lang_tags, label=None)
+            for r in records]
+
+
 @pytest.fixture(scope="module")
 def corpus_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
@@ -22,9 +27,8 @@ def corpus_files(tmp_path_factory):
     (root / "train.conll").write_text(serialize_conll(records[:40]), encoding="utf-8")
     (root / "val.conll").write_text(serialize_conll(records[40:50]), encoding="utf-8")
     (root / "test.conll").write_text(serialize_conll(records[50:]), encoding="utf-8")
-    unlabeled = [type(r)(id=r.id, tokens=r.tokens, lang_tags=r.lang_tags, label=None)
-                 for r in records[50:]]
-    (root / "unlabeled.conll").write_text(serialize_conll(unlabeled), encoding="utf-8")
+    (root / "unlabeled.conll").write_text(serialize_conll(_unlabeled(records[50:])),
+                                          encoding="utf-8")
     return root
 
 
@@ -246,6 +250,31 @@ def test_diverging_run_exit_code(corpus_files, tmp_path):
     assert not (out / "epochs.log").exists()
 
 
+def test_unlabeled_val_record_ignored(corpus_files, trained, tmp_path):
+    # an unlabeled record among the labeled ones is dropped, not scored
+    records, _ = parse_conll((corpus_files / "val.conll").read_text(encoding="utf-8"))
+    records.insert(3, _unlabeled(records[:1])[0])
+    val = tmp_path / "val.conll"
+    val.write_text(serialize_conll(records), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--val", str(val), "--out-dir", str(out), "--seed", "1", *FAST])
+    assert code == 0
+    for name in ("epochs.log", "model.ckpt"):
+        assert (out / name).read_bytes() == (trained / name).read_bytes()
+
+
+def test_no_labeled_record_exit_code(corpus_files, trained, tmp_path):
+    unlabeled = str(corpus_files / "unlabeled.conll")
+    out = tmp_path / "train"
+    code = main(["train", "--train", unlabeled, "--out-dir", str(out), *FAST])
+    assert code == 3
+    assert not (out / "model.ckpt").exists()
+    code = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+                 "--input", unlabeled, "--out-dir", str(tmp_path / "eval")])
+    assert code == 3
+
+
 def test_bad_config_key_exit_code(corpus_files, tmp_path):
     code = main(["stats", "--input", str(corpus_files / "train.conll"),
                  "--out-dir", str(tmp_path), "--set", "nonsense=1"])
@@ -263,7 +292,7 @@ def test_lang_features_key_rejected(corpus_files, tmp_path):
     "kernel=0", "stride=0", "pool=0", "pool_stride=0", "embed_dim=0", "filters=0",
     "attn_hidden=0", "batch_size=0", "epochs=0", "max_len=2", "n_classes=2",
     "global_pool=true", "lr=nan", "lr=-0.01", "lr=inf", "beta1=1", "beta2=-0.1",
-    "epsilon=0", "epsilon=nan"])
+    "epsilon=0", "epsilon=nan", "seed=-1"])
 def test_invalid_config_exit_code(corpus_files, tmp_path, setting):
     # rejected at config time: no output directory is made
     out = tmp_path / "out"

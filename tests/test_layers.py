@@ -465,3 +465,42 @@ def test_lang_keys_exact_for_non_onehot_rows(rng):
     lengths = np.full(3, 6)
     assert_close(m.forward(ids, lang, lengths), unkeyed_forward(m, ids, lang, lengths),
                  rtol=0, atol=1e-12)
+
+
+def unkeyed_backward(m, ids, dlogits):
+    """HCMSModel.backward after unkeyed_forward: the conv's dX has X's shape,
+    and each non-PAD position's gradient is scattered onto its table row."""
+    dG = m.head.backward(dlogits)
+    dC = m.attention.backward(dG) if m.attention is not None else dG.reshape(
+        len(ids), -1, m.config.filters)
+    dX, _ = m.conv.backward(dC)
+    real = ids != 0
+    np.add.at(m.embedding.table.grad, ids[real], dX[..., :m.config.embed_dim][real])
+
+
+@pytest.mark.parametrize("overrides", KEYED_CONFIGS.values(), ids=KEYED_CONFIGS)
+def test_keyed_backward_matches_unkeyed(rng, overrides):
+    m = HCMSModel(tiny_config(**overrides), seed=6)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    examples = [(list(rng.integers(2, 5, size=n)),
+                 np.eye(4)[rng.integers(4, size=n)] if m.config.lang_features else None)
+                for n in (1, 5, 6, 11)]
+    batch = m.fit_batch(examples)
+    Y = np.eye(3)[rng.integers(3, size=len(examples))]
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    keyed = {name: p.grad.copy() for name, p in m.parameters().items()}
+    m.zero_grad()
+    unkeyed_backward(m, batch[0], cross_entropy_softmax_grad(Y, unkeyed_forward(m, *batch)))
+    assert all(np.abs(keyed[name]).max() > 0 for name in ("embedding.table", "conv.filters"))
+    for name, p in m.parameters().items():
+        assert_close(keyed[name], p.grad, rtol=0, atol=1e-12)
+
+
+def test_one_layout_per_step(rng, monkeypatch):
+    calls = []
+    build = T.distinct_rows
+    monkeypatch.setattr(T, "distinct_rows", lambda *a: calls.append(1) or build(*a))
+    m = HCMSModel(tiny_config(lang_features=True), seed=6)
+    examples, Y = _ragged_batch(rng, m.config)
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*m.fit_batch(examples))))
+    assert len(calls) == 1

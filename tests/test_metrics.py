@@ -55,6 +55,15 @@ def test_errors():
         score([0, 1], [0])
 
 
+@pytest.mark.parametrize("bad", [None, -1, 3])
+def test_labels_outside_classes_rejected(bad):
+    # neither counted in some row (None) nor wrapped to class 2 (-1)
+    with pytest.raises(EvaluationError):
+        score([bad, 0, 1], [2, 0, 1])
+    with pytest.raises(EvaluationError):
+        score([2, 0, 1], [bad, 0, 1])
+
+
 def test_matches_oracle_random():
     rng = np.random.default_rng(77)
     for _ in range(1000):
