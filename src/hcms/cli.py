@@ -23,7 +23,7 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      read_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
-from .train import (CheckpointError, CheckpointShapeError, DataError,
+from .train import (CheckpointError, DataError,
                     DivergenceError, OptimizerConfig, TrainConfig, evaluate,
                     format_epoch, load_checkpoint, predict, save_checkpoint, train)
 
@@ -193,16 +193,7 @@ def cmd_train(args, cfg, out):
 
 
 def _load_for_inference(checkpoint):
-    p = Path(checkpoint)
-    if not p.exists():
-        raise FileNotFoundError(f"checkpoint not found: {p}")
-    model, vocab_tokens, extra = load_checkpoint(p)
-    # train saves one token per embedding row; any other count would
-    # encode tokens to the wrong rows
-    if len(vocab_tokens) != model.config.vocab_size:
-        raise CheckpointShapeError(
-            f"vocab lists {len(vocab_tokens)} tokens, "
-            f"the embedding table has {model.config.vocab_size} rows")
+    model, vocab_tokens, extra = load_checkpoint(checkpoint)  # a missing file exits 2
     vocab = Vocabulary.from_tokens(vocab_tokens)
     cleaning = CleaningConfig.from_dict(extra.get("cleaning", {}))
     return model, vocab, cleaning

@@ -8,10 +8,13 @@ the conv block its pooled output and the batch layout that
 tensor.distinct_rows builds once per forward), and the backward takes the
 cache and releases it, so each backward needs a fresh forward and a model
 is single-writer during training. Gradients accumulate into Parameter.grad,
-summed over the batch; in an HCMSModel every Parameter is a view into one
-store.
+summed over the batch. Layers hold no init code: HCMSModel allocates one
+store, binds each ModelConfig.param_shapes() name (conv.filters is
+ConvBlock.filters) to a Parameter viewing it, then draws it by
+init_parameters or adopts a checkpoint's data section as it.
 """
 
+import math
 from dataclasses import dataclass, asdict, fields
 from operator import attrgetter
 
@@ -125,19 +128,28 @@ def _take_cache(layer):
     return cache
 
 
-def glorot_uniform(rng, shape, fan_in, fan_out):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+def init_parameters(params, rng):
+    """The init table: draws {param_shapes() name: Parameter} in place, in
+    order. The embedding table is uniform in +-0.05 with its PAD row zeroed,
+    conv filters [f, k, d] Glorot-uniform with fan_in k*d and fan_out f, any
+    other matrix Glorot-uniform over (rows, cols); a bias stays zero and draws
+    nothing. Scaling rng.random in place gives rng.uniform's bits and draws."""
+    for name, p in params.items():
+        if p.value.ndim == 1:
+            continue
+        fan_in, fan_out = ((p.shape[1] * p.shape[2], p.shape[0])
+                           if name == "conv.filters" else p.shape)
+        limit = 0.05 if name == "embedding.table" else np.sqrt(6.0 / (fan_in + fan_out))
+        rng.random(out=p.value)
+        p.value *= 2 * limit
+        p.value -= limit
+        if name == "embedding.table":
+            p.value[0] = 0.0
 
 
 class EmbeddingLayer:
-    """Token id -> embedding row lookup: [B, L] ids -> [B, L, dim] rows.
-    Row 0 is PAD, frozen at zero."""
-
-    def __init__(self, vocab_size, dim, rng):
-        table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim))
-        table[0] = 0.0
-        self.table = Parameter(table)
+    """Token id -> embedding row lookup: [B, L] ids -> [B, L, dim] rows of
+    table [vocab, dim]. Row 0 is PAD, frozen at zero."""
 
     def forward(self, ids):
         ids = np.asarray(ids, dtype=np.int64)
@@ -159,18 +171,14 @@ class EmbeddingLayer:
 
 class ConvBlock:
     """conv1d -> ReLU -> max-pool, i.e. the local-context extractor:
-    [B, u, d] -> [B, v', f]."""
+    [B, u, d] -> [B, v', f], with filters [f, kernel, d] and bias [f]."""
 
-    def __init__(self, in_dim, n_filters, kernel, stride, pool, pool_stride,
-                 global_pool, rng):
+    def __init__(self, kernel, stride, pool, pool_stride, global_pool):
         self.kernel = kernel
         self.stride = stride
         self.pool = pool
         self.pool_stride = pool_stride
         self.global_pool = global_pool
-        self.filters = Parameter(glorot_uniform(
-            rng, (n_filters, kernel, in_dim), kernel * in_dim, n_filters))
-        self.bias = Parameter(np.zeros(n_filters))
 
     # the config's length arithmetic, over the same field names
     _conv_len = ModelConfig._conv_len
@@ -212,19 +220,15 @@ class SelfAttentionLayer:
     """Pairwise additive self-attention over context vectors.
 
     For each position t, every attended position t' gets a score
-    sigma(W_a . tanh(c_t W_t + c_t' W_c + b_t) + b_a); scores are
+    sigma(W_a . tanh(c_t W_t + c_t' W_c + b_t) + b_a), with W_t, W_c
+    [dim, hidden], b_t [hidden], W_a [hidden, 1] and b_a [1]; scores are
     softmax-normalized over t' and used to average the c_t' into a_t.
     The a_t are concatenated in sequence order: [B, v, dim] -> [B, v*dim].
     """
 
-    def __init__(self, dim, hidden, include_self, score_sigmoid, rng):
+    def __init__(self, include_self, score_sigmoid):
         self.include_self = include_self
         self.score_sigmoid = score_sigmoid
-        self.W_t = Parameter(glorot_uniform(rng, (dim, hidden), dim, hidden))
-        self.W_c = Parameter(glorot_uniform(rng, (dim, hidden), dim, hidden))
-        self.b_t = Parameter(np.zeros(hidden))
-        self.W_a = Parameter(glorot_uniform(rng, (hidden, 1), hidden, 1))
-        self.b_a = Parameter(np.zeros(1))
 
     def _hidden(self, Tq, Kc):
         """tanh(c_t W_t + c_t' W_c + b_t) for every pair: [B, v, v, hidden].
@@ -251,7 +255,6 @@ class SelfAttentionLayer:
         Q = T.softmax(logits)            # rows sum to 1 over the attended set
         A = Q @ C                        # [B, v, dim]
         self._cache = (C, H, S, Q)
-        self.weights = Q
         return A.reshape(A.shape[:-2] + (-1,))
 
     def backward(self, dG):
@@ -279,11 +282,8 @@ class SelfAttentionLayer:
 
 
 class DenseHead:
-    """Linear map to class logits plus softmax: [B, n] (or [n]) -> [B, classes]."""
-
-    def __init__(self, in_dim, n_classes, rng):
-        self.W = Parameter(glorot_uniform(rng, (in_dim, n_classes), in_dim, n_classes))
-        self.b = Parameter(np.zeros(n_classes))
+    """Linear map to class logits plus softmax: [B, n] (or [n]) -> [B, classes],
+    with W [n, classes] and b [classes]."""
 
     def forward(self, G):
         self._cache = G
@@ -305,29 +305,28 @@ class HCMSModel:
     """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
     one minibatch from fit_batch per forward and backward."""
 
-    def __init__(self, config: ModelConfig, seed=0):
-        cfg = config
-        self.config = cfg
-        rng = np.random.default_rng(seed)
+    def __init__(self, config: ModelConfig, seed=0, values=None):
+        """values, if given, is adopted as the store's flat value array (a
+        checkpoint's data section); otherwise seed draws the parameters."""
+        cfg = self.config = config
+        self.embedding, self.head = EmbeddingLayer(), DenseHead()
+        self.conv = ConvBlock(cfg.kernel, cfg.stride, cfg.pool, cfg.pool_stride,
+                              cfg.global_pool)
+        self.attention = (SelfAttentionLayer(cfg.include_self, cfg.score_sigmoid)
+                          if cfg.attention_enabled else None)
         shapes = cfg.param_shapes()
-        self.embedding = EmbeddingLayer(*shapes["embedding.table"], rng)
-        n_filters, kernel, in_dim = shapes["conv.filters"]
-        self.conv = ConvBlock(in_dim, n_filters, kernel, cfg.stride,
-                              cfg.pool, cfg.pool_stride, cfg.global_pool, rng)
-        self.attention = None
-        if cfg.attention_enabled:
-            self.attention = SelfAttentionLayer(
-                *shapes["attention.W_t"], cfg.include_self, cfg.score_sigmoid, rng)
-        self.head = DenseHead(*shapes["head.W"], rng)
-        # every value and grad becomes a view into one store, in parameters() order
-        params = self.parameters().values()
-        self.store = Parameter(np.concatenate([p.value.ravel() for p in params]))
-        offset = 0
-        for p in params:
-            end = offset + p.value.size
-            p.value = self.store.value[offset:end].reshape(p.shape)
-            p.grad = self.store.grad[offset:end].reshape(p.shape)
-            offset = end
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        self.store = Parameter(np.zeros(ends[-1]) if values is None else values)
+        # each parameter is a value/grad view pair into the store, bound at
+        # its name's attribute path
+        for (name, shape), value, grad in zip(shapes.items(),
+                                              np.split(self.store.value, ends[:-1]),
+                                              np.split(self.store.grad, ends[:-1])):
+            layer, attr = name.split(".")
+            setattr(getattr(self, layer), attr,
+                    Parameter(value.reshape(shape), grad.reshape(shape)))
+        if values is None:
+            init_parameters(self.parameters(), np.random.default_rng(seed))
 
     def parameters(self):
         """{name: Parameter} in store order (ModelConfig.param_shapes)."""

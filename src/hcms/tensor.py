@@ -24,11 +24,11 @@ def as_tensor(x):
 
 
 class Parameter:
-    """A trainable tensor and its gradient, both of one shape."""
+    """A trainable tensor and its gradient, of one shape; both may be views of a store."""
 
-    def __init__(self, value):
+    def __init__(self, value, grad=None):
         self.value = as_tensor(value)
-        self.grad = np.zeros(self.value.shape)
+        self.grad = np.zeros(self.value.shape) if grad is None else grad
 
     @property
     def shape(self):

@@ -10,14 +10,17 @@ Checkpoint layout (version 1, little-endian throughout):
                               "vocab":  [token, ...]  (index order),
                               "params": [{"name", "shape", "offset"}, ...]}
     data         the model's parameter store (HCMSModel.store), raw float64;
-                 the manifest must be the one the config's model would write.
+                 the manifest must be the one the config's model would write,
+                 and the vocab must list one token per embedding row.
 
 Round-trip bit-exactness is the binding contract: load(save(m)) reproduces
-every parameter value exactly.
+every parameter value exactly. A load checks the data section's size before
+it allocates, then reads it straight into the store, with no random init.
 """
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -167,6 +170,10 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     if not train_data:
         raise DataError("empty training corpus")
     n_classes = model.config.n_classes
+    # every label checked once, by metrics.score's rule
+    labels = np.asarray([label for *_, label in [*train_data, *val_data]])
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
+        raise DataError(f"labels must be class indices in [0, {n_classes})")
     rng = np.random.default_rng(tcfg.seed)
     store, state = model.store, AdamState(model.store)
     best_f1, best_snapshot = -1.0, None
@@ -178,16 +185,16 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
             rng.shuffle(order)
         total_loss = 0.0
         for start in range(0, len(order), tcfg.batch_size):
-            batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
-            ids, lang, lengths = model.fit_batch([(x, l) for x, l, _ in batch])
-            y = np.eye(n_classes)[[label for *_, label in batch]]
+            idx = order[start:start + tcfg.batch_size]
+            ids, lang, lengths = model.fit_batch([train_data[i][:2] for i in idx])
+            y = np.eye(n_classes)[labels[idx]]
             probs = model.forward(ids, lang, lengths)
             loss = cross_entropy(y, probs)
             if not np.isfinite(loss):
                 raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
             total_loss += loss
             # mean over the batch so lr is batch-size-insensitive
-            model.backward(cross_entropy_softmax_grad(y, probs) / len(batch))
+            model.backward(cross_entropy_softmax_grad(y, probs) / len(idx))
             adam_step(store, state, ocfg)
         entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
         if val_data:
@@ -248,31 +255,32 @@ def load_checkpoint(path):
     """Returns (model, vocab_tokens, extra_config). A file that is not a
     checkpoint, or whose header is malformed, raises a CheckpointError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16 or raw[:4] != MAGIC:
-        raise CheckpointVersionError("not an HCMS checkpoint (bad magic string)")
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != FORMAT_VERSION:
-        raise CheckpointVersionError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + hlen:
-        raise CheckpointCorruptError("truncated checkpoint header")
-    try:
-        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointCorruptError(f"undecodable header: {exc}") from exc
-    if (len(raw) - 16 - hlen) % 8:
-        raise CheckpointCorruptError("truncated checkpoint data section")
-    try:
-        return _restore(header, np.frombuffer(raw, dtype="<f8", offset=16 + hlen))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CheckpointCorruptError(f"malformed checkpoint header: {exc!r}") from exc
+        file_size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if len(preamble) < 16 or preamble[:4] != MAGIC:
+            raise CheckpointVersionError("not an HCMS checkpoint (bad magic string)")
+        version, hlen = struct.unpack("<IQ", preamble[4:])
+        if version != FORMAT_VERSION:
+            raise CheckpointVersionError(f"unsupported checkpoint version {version}")
+        # checked before the reads, so a huge header length allocates nothing
+        n_values, ragged = divmod(file_size - 16 - hlen, 8)
+        if n_values < 0 or ragged:
+            raise CheckpointCorruptError("truncated checkpoint header or data section")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointCorruptError(f"undecodable header: {exc}") from exc
+        try:
+            return _restore(header, fh, n_values)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointCorruptError(f"malformed checkpoint header: {exc!r}") from exc
 
 
-def _restore(header, data):
-    """(model, vocab_tokens, extra_config) from a decoded header and the data
-    section. A missing key or a value that breaks a run config's rules raises
-    KeyError, TypeError or ValueError, mapped to a CheckpointError by load_checkpoint."""
+def _restore(header, fh, n_values):
+    """(model, vocab_tokens, extra_config) from a decoded header and fh at its
+    data section of n_values float64s. A missing key or a value that breaks a run
+    config's rules raises KeyError, TypeError or ValueError, which load_checkpoint
+    maps to CheckpointCorruptError."""
     extra = header["extra"]
     if not isinstance(extra, dict) or not isinstance(extra.get("cleaning", {}), dict):
         raise CheckpointCorruptError("extra and extra.cleaning must be JSON objects")
@@ -281,10 +289,11 @@ def _restore(header, data):
     config.validate()
     # checked before the model is built, so the header's sizes are never allocated
     manifest, size = _manifest(config)
-    if header["params"] != manifest or data.size != size:
+    if header["params"] != manifest or n_values != size:
         raise CheckpointShapeError(
-            f"manifest or data section ({data.size} values) does not match the "
+            f"manifest or data section ({n_values} values) does not match the "
             "config's layout")
-    model = HCMSModel(config, seed=0)
-    model.store.value[...] = data
-    return model, header["vocab"], extra
+    if len(vocab := header["vocab"]) != config.vocab_size:  # one token per row
+        raise CheckpointShapeError(f"vocab lists {len(vocab)} tokens, the "
+                                   f"embedding table has {config.vocab_size} rows")
+    return HCMSModel(config, values=np.fromfile(fh, "<f8", count=size)), vocab, extra

@@ -9,15 +9,47 @@ library op and these in one namespace. maxpool1d_backward_where is the
 pool backward that finds each window's argmax again, kept as the oracle of
 the library's, which reads it off the pooled output. conv1d and
 conv1d_backward take raw keys here, as the tests' oracles are written, and
-build the layout the library ops take.
+build the layout the library ops take. make_layer builds one model layer on
+its own, its parameters drawn by the model's init table.
 """
 
 import numpy as np
 
 from hcms import tensor
 from hcms.tensor import *  # noqa: F401,F403 - the library ops, re-exported
-from hcms.tensor import ShapeError, _strided, as_tensor
+from hcms.layers import (ConvBlock, DenseHead, EmbeddingLayer, SelfAttentionLayer,
+                         init_parameters)
+from hcms.tensor import Parameter, ShapeError, _strided, as_tensor
 from hcms.train import PROB_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# one layer on its own
+
+# a layer's model attribute name, and its parameters' {attribute: shape}, in
+# store order, from the layer and its dims
+LAYER_SHAPES = {
+    EmbeddingLayer: ("embedding", lambda _, vocab, dim: {"table": (vocab, dim)}),
+    ConvBlock: ("conv", lambda cb, in_dim, f: {"filters": (f, cb.kernel, in_dim),
+                                               "bias": (f,)}),
+    SelfAttentionLayer: ("attention", lambda _, dim, h: {
+        "W_t": (dim, h), "W_c": (dim, h), "b_t": (h,), "W_a": (h, 1), "b_a": (1,)}),
+    DenseHead: ("head", lambda _, in_dim, n: {"W": (in_dim, n), "b": (n,)}),
+}
+
+
+def make_layer(layer, dims, rng):
+    """layer with its parameters bound, each drawn from rng by
+    layers.init_parameters in store order, as HCMSModel draws them. dims are
+    (vocab, dim) for the embedding, (in_dim, filters) for the conv block,
+    (dim, hidden) for the attention and (in_dim, classes) for the head."""
+    name, shapes = LAYER_SHAPES[type(layer)]
+    params = {f"{name}.{attr}": Parameter(np.zeros(shape))
+              for attr, shape in shapes(layer, *dims).items()}
+    init_parameters(params, rng)
+    for key, param in params.items():
+        setattr(layer, key.split(".")[1], param)
+    return layer
 
 
 # ---------------------------------------------------------------------------

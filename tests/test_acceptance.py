@@ -23,7 +23,7 @@ from hcms.train import (AdamState, OptimizerConfig, Parameter, TrainConfig,
                         adam_step, cross_entropy, cross_entropy_softmax_grad,
                         evaluate, load_checkpoint, save_checkpoint, train)
 from conftest import assert_close, central_diff
-from extra_ops import cross_entropy_backward
+from extra_ops import cross_entropy_backward, make_layer
 from test_corpus import _random_records
 from test_layers import attention_oracle
 from test_metrics import oracle as metrics_oracle
@@ -99,7 +99,7 @@ def test_gradient_suite():
 
     # attention layer parameter + input gradients
     for trial in range(10):
-        att = SelfAttentionLayer(3, 5, False, True, np.random.default_rng(trial))
+        att = make_layer(SelfAttentionLayer(False, True), (3, 5), np.random.default_rng(trial))
         C = rng.uniform(-2, 2, size=(4, 3))
         w = rng.uniform(-1, 1, size=12)
         att.forward(C)
@@ -145,10 +145,10 @@ def test_attention_oracle():
     for trial in range(100):
         v = int(rng.integers(2, 9))
         d = int(rng.integers(1, 7))
-        att = SelfAttentionLayer(d, int(rng.integers(1, 8)),
-                                 include_self=bool(rng.integers(2)),
-                                 score_sigmoid=bool(rng.integers(2)),
-                                 rng=np.random.default_rng(trial))
+        hidden = int(rng.integers(1, 8))
+        att = make_layer(SelfAttentionLayer(include_self=bool(rng.integers(2)),
+                                            score_sigmoid=bool(rng.integers(2))),
+                         (d, hidden), np.random.default_rng(trial))
         C = rng.uniform(-2, 2, size=(v, d))
         assert_close(att.forward(C), attention_oracle(C, att), rtol=0, atol=1e-10)
 
@@ -268,9 +268,10 @@ def test_round_trips(tmp_path):
                       pool=2, pool_stride=1, attn_hidden=5, max_len=8)
     model = HCMSModel(cfg, seed=13)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(model, ["<pad>", "<unk>", "a"], path, {"k": 1})
+    tokens = ["<pad>", "<unk>"] + [f"tok{i}" for i in range(14)]  # one per row
+    save_checkpoint(model, tokens, path, {"k": 1})
     loaded, vocab, extra = load_checkpoint(path)
-    assert vocab == ["<pad>", "<unk>", "a"] and extra == {"k": 1}
+    assert vocab == tokens and extra == {"k": 1}
     for k, p in model.parameters().items():
         assert p.value.tobytes() == loaded.parameters()[k].value.tobytes()
     # cleaning idempotence, 10k records

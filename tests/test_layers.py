@@ -7,6 +7,7 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
+from extra_ops import make_layer
 
 
 def attention_oracle(C, layer):
@@ -34,30 +35,30 @@ def attention_oracle(C, layer):
 # embedding
 
 def test_embed_pad_rows_are_zero(rng):
-    layer = EmbeddingLayer(10, 4, rng)
+    layer = make_layer(EmbeddingLayer(), (10, 4), rng)
     out = layer.forward([0, 0])
     assert np.all(out == 0)
 
 
 def test_embed_shape(rng):
-    layer = EmbeddingLayer(10, 4, rng)
+    layer = make_layer(EmbeddingLayer(), (10, 4), rng)
     assert layer.forward([1, 2, 3, 4, 5]).shape == (5, 4)
 
 
 def test_embed_lookup():
-    layer = EmbeddingLayer(3, 2, np.random.default_rng(0))
+    layer = make_layer(EmbeddingLayer(), (3, 2), np.random.default_rng(0))
     layer.table.value[1] = [1.0, 2.0]
     assert layer.forward([1, 1]).tolist() == [[1, 2], [1, 2]]
 
 
 def test_embed_out_of_range(rng):
-    layer = EmbeddingLayer(5, 2, rng)
+    layer = make_layer(EmbeddingLayer(), (5, 2), rng)
     with pytest.raises(VocabularyError):
         layer.forward([5])
 
 
 def test_embed_backward_skips_pad(rng):
-    layer = EmbeddingLayer(5, 3, rng)
+    layer = make_layer(EmbeddingLayer(), (5, 3), rng)
     keys, dK = T.group_sum(np.array([0, 2, 2]), np.ones((3, 3)))
     layer.backward(dK, keys)
     assert np.all(layer.table.grad[0] == 0)
@@ -67,7 +68,7 @@ def test_embed_backward_skips_pad(rng):
 def test_embed_backward_matches_scatter(rng):
     # reference: one np.add.at scatter of every non-PAD row; the keys carry
     # a code above the ids, as HCMSModel's do under lang_features
-    layer = EmbeddingLayer(6, 3, rng)
+    layer = make_layer(EmbeddingLayer(), (6, 3), rng)
     ids = rng.integers(0, 6, size=(4, 9))
     dX = rng.uniform(-1, 1, size=(4, 9, 3))
     want = np.zeros_like(layer.table.grad)
@@ -85,7 +86,7 @@ def test_embed_backward_matches_scatter(rng):
 # conv block
 
 def test_conv_block_zero_filters(rng):
-    cb = ConvBlock(3, 2, 2, 1, 2, 2, False, rng)
+    cb = make_layer(ConvBlock(2, 1, 2, 2, False), (3, 2), rng)
     cb.filters.value[:] = 0
     out = cb.forward(rng.normal(size=(6, 3)))
     assert out.shape == (2, 2)
@@ -93,14 +94,14 @@ def test_conv_block_zero_filters(rng):
 
 
 def test_conv_block_length_arithmetic(rng):
-    cb = ConvBlock(4, 5, 8, 1, 2, 2, False, rng)
+    cb = make_layer(ConvBlock(8, 1, 2, 2, False), (4, 5), rng)
     assert cb.out_len(32) == 12
     assert cb.forward(rng.normal(size=(32, 4))).shape == (12, 5)
 
 
 def test_conv_block_hand_composition(rng):
     # conv output [3,5,7], all positive so ReLU is identity; pool(2,1) -> [5,7]
-    cb = ConvBlock(1, 1, 2, 1, 2, 1, False, rng)
+    cb = make_layer(ConvBlock(2, 1, 2, 1, False), (1, 1), rng)
     cb.filters.value[:] = 1.0
     cb.bias.value[:] = 0.0
     out = cb.forward(np.array([[1.0], [2.0], [3.0], [4.0]]))
@@ -108,7 +109,7 @@ def test_conv_block_hand_composition(rng):
 
 
 def test_conv_block_global_pool(rng):
-    cb = ConvBlock(2, 3, 2, 1, 2, 2, True, rng)
+    cb = make_layer(ConvBlock(2, 1, 2, 2, True), (2, 3), rng)
     out = cb.forward(rng.normal(size=(9, 2)))
     assert out.shape == (1, 3)
 
@@ -117,14 +118,14 @@ def test_conv_block_global_pool(rng):
 # self-attention
 
 def test_attention_two_vectors_swap(rng):
-    att = SelfAttentionLayer(3, 4, include_self=False, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=False, score_sigmoid=True), (3, 4), rng)
     C = rng.normal(size=(2, 3))
     G = att.forward(C)
     assert_close(G, np.concatenate([C[1], C[0]]), rtol=0, atol=1e-12)
 
 
 def test_attention_identical_vectors(rng):
-    att = SelfAttentionLayer(3, 4, include_self=True, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=True, score_sigmoid=True), (3, 4), rng)
     c = rng.normal(size=3)
     G = att.forward(np.tile(c, (3, 1)))
     assert_close(G, np.tile(c, 3), rtol=0, atol=1e-12)
@@ -133,23 +134,23 @@ def test_attention_identical_vectors(rng):
 def test_attention_matches_pairwise_oracle(rng):
     for include_self in (False, True):
         for sigmoid in (True, False):
-            att = SelfAttentionLayer(3, 4, include_self, sigmoid, rng)
+            att = make_layer(SelfAttentionLayer(include_self, sigmoid), (3, 4), rng)
             C = rng.uniform(-2, 2, size=(4, 3))
             assert_close(att.forward(C), attention_oracle(C, att),
                          rtol=0, atol=1e-10)
 
 
 def test_attention_domain_error(rng):
-    att = SelfAttentionLayer(3, 4, include_self=False, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=False, score_sigmoid=True), (3, 4), rng)
     with pytest.raises(AttentionDomainError):
         att.forward(rng.normal(size=(1, 3)))
 
 
 def test_attention_weight_rows(rng):
-    att = SelfAttentionLayer(3, 4, include_self=False, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=False, score_sigmoid=True), (3, 4), rng)
     for _ in range(20):
         att.forward(rng.uniform(-2, 2, size=(5, 3)))
-        Q = att.weights
+        Q = att._cache[3]
         assert np.abs(Q.sum(axis=1) - 1).max() < 1e-6
         off_diag = Q[~np.eye(5, dtype=bool)]
         assert np.all((off_diag > 0) & (off_diag < 1))
@@ -157,7 +158,7 @@ def test_attention_weight_rows(rng):
 
 
 def test_attention_convex_hull(rng):
-    att = SelfAttentionLayer(3, 4, include_self=False, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=False, score_sigmoid=True), (3, 4), rng)
     for _ in range(20):
         C = rng.uniform(-2, 2, size=(5, 3))
         A = att.forward(C).reshape(5, 3)
@@ -170,7 +171,7 @@ def test_attention_convex_hull(rng):
 def test_attention_key_permutation_invariance(rng):
     # with include_self the attended set is the same for every query, so
     # permuting the rows just permutes which a_t is which
-    att = SelfAttentionLayer(3, 4, include_self=True, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=True, score_sigmoid=True), (3, 4), rng)
     C = rng.uniform(-2, 2, size=(5, 3))
     A = att.forward(C).reshape(5, 3)
     perm = rng.permutation(5)
@@ -181,7 +182,7 @@ def test_attention_key_permutation_invariance(rng):
 
 
 def test_attention_gradcheck(rng):
-    att = SelfAttentionLayer(3, 5, include_self=False, score_sigmoid=True, rng=rng)
+    att = make_layer(SelfAttentionLayer(include_self=False, score_sigmoid=True), (3, 5), rng)
     C = rng.uniform(-2, 2, size=(4, 3))
     w = rng.uniform(-1, 1, size=12)
     att.forward(C)
@@ -203,21 +204,21 @@ def test_attention_gradcheck(rng):
 # dense head
 
 def test_dense_head_zero_weights(rng):
-    head = DenseHead(4, 3, rng)
+    head = make_layer(DenseHead(), (4, 3), rng)
     head.W.value[:] = 0
     head.b.value[:] = 0
     assert_close(head.forward(rng.normal(size=4)), [1 / 3] * 3, rtol=0, atol=1e-12)
 
 
 def test_dense_head_log_bias(rng):
-    head = DenseHead(4, 3, rng)
+    head = make_layer(DenseHead(), (4, 3), rng)
     head.W.value[:] = 0
     head.b.value[:] = np.log([1.0, 2.0, 3.0])
     assert_close(head.forward(np.zeros(4)), [1 / 6, 2 / 6, 3 / 6], rtol=0, atol=1e-12)
 
 
 def test_dense_head_probabilities_sum(rng):
-    head = DenseHead(6, 3, rng)
+    head = make_layer(DenseHead(), (6, 3), rng)
     for _ in range(20):
         p = head.forward(rng.uniform(-2, 2, size=6))
         assert abs(p.sum() - 1) < 1e-6

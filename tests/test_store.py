@@ -1,17 +1,20 @@
 """The model's flat parameter store: its layout, and training over it
 against a per-parameter reference loop."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hcms.layers import HCMSModel
+from hcms.layers import HCMSModel, ModelConfig
 from hcms.metrics import score
 from hcms.tensor import Parameter
 from hcms.train import (_BLOCK, AdamState, OptimizerConfig, TrainConfig,
                         adam_step, cross_entropy,
                         cross_entropy_softmax_grad, evaluate, load_checkpoint,
                         save_checkpoint, train)
-from test_train import tiny_config, tiny_data
+from test_train import VOCAB, tiny_config, tiny_data
 
 CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
            "lang_features": {"lang_features": True}}
@@ -34,10 +37,59 @@ def assert_tiles_store(model):
 def test_parameters_tile_the_store(tmp_path, overrides):
     model = HCMSModel(tiny_config(**overrides), seed=0)
     assert_tiles_store(model)
-    save_checkpoint(model, ["<pad>", "<unk>"], tmp_path / "m.ckpt")
+    save_checkpoint(model, VOCAB, tmp_path / "m.ckpt")
     loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
     assert_tiles_store(loaded)
     assert loaded.store.value.tobytes() == model.store.value.tobytes()
+
+
+# sha256 of HCMSModel(config, seed).store.value, taken when each layer still
+# drew its own arrays: the init table must draw the same bits in the same order
+INIT_DIGESTS = {
+    ("attention_on", 0): "0545bac4d2a1a9a1346937251cc623677300b8564f8366114ef360c942633c76",
+    ("attention_on", 7): "d41d811b5fe4a7396546119071547882b5938b642b8f9d13b2e81db2ea7ff2e3",
+    ("attention_off", 0): "b6ff26199a14a14aa87659b9af943620401028701e794014651d5c1177a948dd",
+    ("attention_off", 7): "ad945d03dd4f2cadaa19999aa4a1c85f7cb0884ae2d744343cbe86078e2348ff",
+    ("lang_features", 0): "270890931b83027c27d80a6692eb8e82dd7eee2f9ada8bd7eb225a980523d29c",
+    ("lang_features", 7): "3c6a3ce86ffda71847c3ebaf3f0702491ad2ad01513790fb25ebb16b01c36197",
+    ("default_dims_vocab_50", 3): "007c4d42fe2196554f53f2b5b6220870a63886b86a7285d04da57bce88282867",
+}
+
+
+@pytest.mark.parametrize("name,seed", INIT_DIGESTS, ids=map(str, INIT_DIGESTS))
+def test_initial_values_are_pinned(name, seed):
+    config = (ModelConfig(vocab_size=50) if name == "default_dims_vocab_50"
+              else tiny_config(**CONFIGS[name]))
+    store = HCMSModel(config, seed=seed).store.value
+    assert hashlib.sha256(store.tobytes()).hexdigest() == INIT_DIGESTS[name, seed]
+
+
+def test_load_draws_nothing(tmp_path, monkeypatch):
+    model = HCMSModel(tiny_config(), seed=5)
+    save_checkpoint(model, VOCAB, tmp_path / "m.ckpt")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint asked for an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    assert loaded.store.value.tobytes() == model.store.value.tobytes()
+
+
+def test_load_peak_is_below_three_stores(tmp_path):
+    # the data section is read into the store itself, with no whole-file
+    # bytes object and no random init beside it: a load holds the store's
+    # value and grad and little else
+    vocab = [f"tok{i}" for i in range(2000)]
+    save_checkpoint(HCMSModel(ModelConfig(vocab_size=len(vocab)), seed=0), vocab,
+                    tmp_path / "m.ckpt")
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * loaded.store.value.nbytes
 
 
 @pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS)

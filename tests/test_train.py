@@ -24,6 +24,10 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
+# one token per row of tiny_config's embedding table
+VOCAB = ["<pad>", "<unk>"] + [f"tok{i}" for i in range(14)]
+
+
 def tiny_data(rng, n=8, vocab=16, length=6):
     return [(list(rng.integers(2, vocab, size=length)), None, int(rng.integers(3)))
             for _ in range(n)]
@@ -130,6 +134,20 @@ def test_train_empty_corpus():
     m = HCMSModel(tiny_config(), seed=0)
     with pytest.raises(DataError):
         train(m, [], [], TrainConfig(epochs=1), DEFAULT_OPT)
+
+
+@pytest.mark.parametrize("split", ["train", "val"])
+@pytest.mark.parametrize("label", [None, -1, 3], ids=["none", "minus_one", "three"])
+def test_train_rejects_bad_labels(rng, split, label):
+    # checked before the first step: nothing trains as a wrapped-around class
+    data = {"train": tiny_data(rng), "val": tiny_data(rng, n=3)}
+    data[split][1] = data[split][1][:2] + (label,)
+    m = HCMSModel(tiny_config(), seed=0)
+    before = m.store.value.copy()
+    with pytest.raises(DataError):
+        train(m, data["train"], data["val"], TrainConfig(epochs=1, batch_size=4),
+              DEFAULT_OPT)
+    assert m.store.value.tobytes() == before.tobytes()
 
 
 def test_train_zero_lr_leaves_params(rng):
@@ -239,15 +257,15 @@ def test_checkpoint_roundtrip_bit_exact(rng, tmp_path):
 
 def test_checkpoint_save_is_deterministic(rng, tmp_path):
     m = _trained_model(rng)
-    save_checkpoint(m, ["<pad>", "<unk>"], tmp_path / "a.ckpt")
-    save_checkpoint(m, ["<pad>", "<unk>"], tmp_path / "b.ckpt")
+    save_checkpoint(m, VOCAB, tmp_path / "a.ckpt")
+    save_checkpoint(m, VOCAB, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_truncated(rng, tmp_path):
     m = _trained_model(rng)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(m, ["<pad>", "<unk>"], path)
+    save_checkpoint(m, VOCAB, path)
     raw = path.read_bytes()
     (tmp_path / "t.ckpt").write_bytes(raw[:len(raw) // 2])
     with pytest.raises((CheckpointCorruptError, CheckpointShapeError)):
@@ -267,7 +285,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_checkpoint_bad_version(rng, tmp_path):
     m = _trained_model(rng)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(m, ["<pad>", "<unk>"], path)
+    save_checkpoint(m, VOCAB, path)
     raw = bytearray(path.read_bytes())
     raw[4] = 99
     path.write_bytes(bytes(raw))
@@ -275,10 +293,18 @@ def test_checkpoint_bad_version(rng, tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_vocab_fills_the_table(rng, tmp_path):
+    # a shorter list would encode tokens to the wrong embedding rows
+    m = _trained_model(rng)
+    save_checkpoint(m, VOCAB[:-1], tmp_path / "m.ckpt")
+    with pytest.raises(CheckpointShapeError):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
 def test_checkpoint_shape_mismatch(rng, tmp_path):
     m = _trained_model(rng)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(m, ["<pad>", "<unk>"], path)
+    save_checkpoint(m, VOCAB, path)
     raw = path.read_bytes()
     (tmp_path / "s.ckpt").write_bytes(raw + b"\x00" * 8)  # extra float
     with pytest.raises(CheckpointShapeError):
