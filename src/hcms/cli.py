@@ -199,12 +199,16 @@ def _load_for_inference(checkpoint):
     return model, vocab, cleaning
 
 
+def _score_file(inference, path, cfg):
+    """metrics.score of (model, vocab, cleaning)'s labels for a corpus file."""
+    model, vocab, cleaning = inference
+    data = encode_corpus(_prepare(path, cleaning), vocab, cleaning)
+    return score(*evaluate(model, data, cfg["batch_size"]), model.config.n_classes)
+
+
 @_command
 def cmd_eval(args, cfg, out):
-    model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    data = encode_corpus(_prepare(args.input, cleaning), vocab, cleaning)
-    trues, preds = evaluate(model, data, cfg["batch_size"])
-    report = score(trues, preds, model.config.n_classes)
+    report = _score_file(_load_for_inference(args.checkpoint), args.input, cfg)
     (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
     (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
 
@@ -212,22 +216,12 @@ def cmd_eval(args, cfg, out):
 @_command
 def cmd_predict(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    records, _ = _load_corpus(args.input)
-    # cleaned and encoded one chunk at a time, so only the parsed records
-    # and the token memo grow with the input
-    size, memo, lines = cfg["batch_size"], {}, []
-    for start in range(0, len(records), size):
-        chunk = records[start:start + size]
-        data = []
-        for rec in chunk:
-            cleaned = clean(rec, cleaning, memo)
-            if cleaned is None:
-                data.append(([UNK], None))  # all tokens cleaned away
-            else:
-                data.append(encode(cleaned, vocab, cleaning))
-        preds = predict(model, data, size)
-        lines.extend(f"{rec.id}\t{LABELS[p]}" for rec, p in zip(chunk, preds))
-    (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    records, memo = _load_corpus(args.input)[0], {}  # each distinct token cleaned once
+    data = [([UNK], None) if (cleaned := clean(rec, cleaning, memo)) is None
+            else encode(cleaned, vocab, cleaning) for rec in records]
+    preds = predict(model, data, cfg["batch_size"])
+    text = "".join(f"{rec.id}\t{LABELS[p]}\n" for rec, p in zip(records, preds))
+    (out / "predictions.tsv").write_text(text, encoding="utf-8")
 
 
 @_command
@@ -240,10 +234,8 @@ def cmd_stats(args, cfg, out):
 
 def train_and_test_f1(cfg, train_path, val_path, test_path):
     """Train one configuration and return its test weighted F1."""
-    model, vocab, cleaning, _ = _train_once(cfg, train_path, val_path)
-    data = encode_corpus(_prepare(test_path, cleaning), vocab, cleaning)
-    trues, preds = evaluate(model, data, cfg["batch_size"])
-    return score(trues, preds, model.config.n_classes).weighted_f1
+    inference = _train_once(cfg, train_path, val_path)[:3]
+    return _score_file(inference, test_path, cfg).weighted_f1
 
 
 def run_ablation(cfg, train_path, val_path, test_path):

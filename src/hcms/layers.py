@@ -199,7 +199,8 @@ class ConvBlock:
         else:
             pool, stride = self.pool, self.pool_stride
         C = T.maxpool1d(R, pool, stride)
-        self._cache = (X, R, C, pool, stride, layout)
+        # the backward reads X's shape alone (layout holds X's rows): no copy kept
+        self._cache = (np.broadcast_to(0.0, X.shape), R, C, pool, stride, layout)
         return C
 
     def backward(self, dC):
@@ -303,7 +304,7 @@ class DenseHead:
 
 class HCMSModel:
     """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
-    one minibatch from fit_batch per forward and backward."""
+    one minibatch in fit_batch's layout per forward and backward."""
 
     def __init__(self, config: ModelConfig, seed=0, values=None):
         """values, if given, is adopted as the store's flat value array (a
@@ -338,7 +339,7 @@ class HCMSModel:
     def fit_batch(self, examples):
         """Right-pad with PAD (or truncate) (token_ids, lang_onehot_or_None)
         pairs into one batch: ids [B, L], lang [B, L, 4] (None without
-        lang_features) and lengths [B].
+        lang_features) and lengths [B]. train and predict pad a whole corpus.
 
         With windowed pooling the head needs a fixed width, so L is max_len.
         With global pooling the head width is length-independent: L is the
@@ -347,7 +348,7 @@ class HCMSModel:
         """
         cfg = self.config
         if cfg.global_pool:
-            L = max(cfg.kernel, *(len(ids) for ids, _ in examples))
+            L = max([cfg.kernel, *(len(ids) for ids, _ in examples)])
         else:
             L = max(cfg.max_len, cfg.kernel)
         ids = np.zeros((len(examples), L), dtype=np.int64)
@@ -363,7 +364,7 @@ class HCMSModel:
         return ids, lang, lengths
 
     def forward(self, ids, lang=None, lengths=None):
-        """Class probabilities [B, n_classes] for a batch made by fit_batch.
+        """Class probabilities [B, n_classes] for a batch in fit_batch's layout.
 
         One id sequence (with its [len, 4] lang one-hot or None) is the
         B-less case: it is fitted as a batch of one and gives [n_classes].
@@ -380,6 +381,7 @@ class HCMSModel:
                                 return_inverse=True)
             keys = keys + self.config.vocab_size * code.reshape(keys.shape)
         C = self.conv.forward(X, lengths, keys)
+        del X  # freed before the attention allocates its [B, v, v, hidden] tensor
         if self.attention is not None:
             G = self.attention.forward(C)
         else:

@@ -143,15 +143,22 @@ def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
         g.fill(0.0)
 
 
+def _batches(model, padded, order, batch_size):
+    """(idx, (ids, lang, lengths)) per batch_size run of order, gathered from a
+    corpus fit_batch padded once; under global_pool, cut to the batch's longest row."""
+    ids, lang, lengths = padded
+    for start in range(0, len(order), batch_size):
+        idx = order[start:start + batch_size]
+        rows = idx, slice(lengths[idx].max() if model.config.global_pool else None)
+        yield idx, (ids[rows], lang if lang is None else lang[rows], lengths[idx])
+
+
 def predict(model, data, batch_size):
-    """Predicted labels over encoded examples, batch_size at a time (which
-    bounds the attention layer's [B, v, v, hidden] tensor)."""
-    preds = []
-    for start in range(0, len(data), batch_size):
-        chunk = data[start:start + batch_size]
-        preds.extend(model.predict(*model.fit_batch(
-            [(ids, lang) for ids, lang, *_ in chunk])).tolist())
-    return preds
+    """Predicted labels over encoded examples, padded once and run batch_size
+    at a time (which bounds the attention layer's [B, v, v, hidden] tensor)."""
+    batches = _batches(model, model.fit_batch([ex[:2] for ex in data]),
+                       np.arange(len(data)), batch_size)
+    return [label for _, batch in batches for label in model.predict(*batch).tolist()]
 
 
 def evaluate(model, data, batch_size=TrainConfig.batch_size):
@@ -179,16 +186,15 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     best_f1, best_snapshot = -1.0, None
     log = []
     order = np.arange(len(train_data))
+    padded = model.fit_batch([ex[:2] for ex in train_data])  # once per run
     model.zero_grad()  # adam_step leaves every gradient zeroed after this
     for epoch in range(1, tcfg.epochs + 1):
         if tcfg.shuffle:
             rng.shuffle(order)
         total_loss = 0.0
-        for start in range(0, len(order), tcfg.batch_size):
-            idx = order[start:start + tcfg.batch_size]
-            ids, lang, lengths = model.fit_batch([train_data[i][:2] for i in idx])
+        for idx, batch in _batches(model, padded, order, tcfg.batch_size):
             y = np.eye(n_classes)[labels[idx]]
-            probs = model.forward(ids, lang, lengths)
+            probs = model.forward(*batch)
             loss = cross_entropy(y, probs)
             if not np.isfinite(loss):
                 raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")

@@ -141,6 +141,16 @@ def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
     assert lines == expected
 
 
+@pytest.mark.parametrize("checkpoint", ["trained", "trained_global_self"])
+def test_predict_no_records_writes_empty_file(checkpoint, request, tmp_path):
+    (tmp_path / "empty.conll").write_text("", encoding="utf-8")
+    code = main(["predict", "--checkpoint",
+                 str(request.getfixturevalue(checkpoint) / "model.ckpt"),
+                 "--input", str(tmp_path / "empty.conll"), "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "predictions.tsv").read_bytes() == b""
+
+
 def test_stats(corpus_files, tmp_path):
     code = main(["stats", "--input", str(corpus_files / "train.conll"),
                  "--out-dir", str(tmp_path)])

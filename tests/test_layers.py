@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,20 @@ def test_caches_released_after_backward_and_predict(rng):
     assert all(layer._cache is None for layer in layers)
     m.predict(*batch)
     assert all(layer._cache is None for layer in layers)
+
+
+def test_forward_frees_the_conv_input(rng, monkeypatch):
+    # the conv backward reads only its input's shape, so no [B, u, d]
+    # embedding output outlives the conv, and the backward still runs
+    m = HCMSModel(tiny_config(), seed=5)
+    refs, embed = [], m.embedding.forward
+    monkeypatch.setattr(m.embedding, "forward",
+                        lambda ids: refs.append(weakref.ref(X := embed(ids))) or X)
+    examples, Y = _ragged_batch(rng, m.config)
+    P = m.forward(*m.fit_batch(examples))
+    assert refs[0]() is None
+    m.backward(cross_entropy_softmax_grad(Y, P))
+    assert np.abs(m.embedding.table.grad).max() > 0
 
 
 def test_backward_needs_fresh_forward(rng):

@@ -10,7 +10,7 @@ from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         LabelError,
                         OptimizerConfig, Parameter, TrainConfig, adam_step,
                         cross_entropy, cross_entropy_softmax_grad,
-                        load_checkpoint, save_checkpoint, train)
+                        _batches, load_checkpoint, save_checkpoint, train)
 from conftest import assert_close
 from extra_ops import cross_entropy_backward
 
@@ -229,6 +229,50 @@ def test_padding_invariance_global_pool(rng):
     g1 = embed_grad(ids + [0] * k)
     g2 = embed_grad(ids + [0] * (k + 3))
     assert np.array_equal(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# batches: one pad per corpus, one row gather per batch
+
+GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
+                  "global_pool": dict(global_pool=True, include_self=True)}
+
+
+@pytest.mark.parametrize("overrides", GATHER_CONFIGS.values(), ids=GATHER_CONFIGS)
+def test_gathered_batches_match_fit_batch(rng, overrides):
+    # lengths from 1 (below the kernel, 2) to 13 (past max_len, 8); one
+    # example has no lang rows, as predict's all-cleaned-away fallback
+    m = HCMSModel(tiny_config(**overrides), seed=0)
+    lengths = [1, 1, 13, 2, 8, 9, *rng.integers(1, 14, size=17)]
+    data = [(list(rng.integers(2, 16, size=n)),
+             np.eye(4)[rng.integers(4, size=n)].tolist() if m.config.lang_features else None,
+             int(rng.integers(3))) for n in lengths]
+    data[4] = (data[4][0], None, data[4][2])
+    order = rng.permutation(len(data))
+    padded = m.fit_batch([ex[:2] for ex in data])
+    seen = []
+    for idx, batch in _batches(m, padded, order, 5):
+        seen.extend(idx.tolist())
+        for got, want in zip(batch, m.fit_batch([data[i][:2] for i in idx]), strict=True):
+            if want is None:
+                assert got is None
+            else:
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+    assert seen == order.tolist()
+
+
+def test_train_pads_each_corpus_once(rng, monkeypatch):
+    # the training set once per run and the val set once per validation
+    # pass; no step pads its batch
+    calls = []
+    fit = HCMSModel.fit_batch
+    monkeypatch.setattr(HCMSModel, "fit_batch",
+                        lambda self, examples: calls.append(len(examples)) or fit(self, examples))
+    m = HCMSModel(tiny_config(), seed=0)
+    train(m, tiny_data(rng, n=10), tiny_data(rng, n=6), TrainConfig(epochs=3, batch_size=4),
+          DEFAULT_OPT)
+    assert calls == [10, 6, 6, 6]
 
 
 # ---------------------------------------------------------------------------
