@@ -36,7 +36,7 @@ EXIT_CONFIG = 5
 
 
 # ModelConfig fields that are not run-config keys: vocab_size comes from the
-# corpus, lang_features from append_lang_onehot
+# corpus, lang_features from the cleaning flag (_model_config)
 DERIVED_MODEL_KEYS = ("vocab_size", "lang_features")
 
 
@@ -97,9 +97,7 @@ def _validate(cfg):
     """Raise ConfigError unless cfg describes a model and a run that can train."""
     # vocab_size comes from the corpus later; the smallest vocabulary stands in
     _model_config(cfg, len(Vocabulary(()))).validate()
-    for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
-        if cfg[key] < least:
-            raise ConfigError(f"{key} must be at least {least}, got {cfg[key]}")
+    _split_configs(cfg)[1].validate()
     for key in ("lr", "epsilon"):
         if not (math.isfinite(cfg[key]) and cfg[key] > 0):
             raise ConfigError(f"{key} must be finite and positive, got {cfg[key]}")
@@ -174,9 +172,10 @@ def _train_once(cfg, train_path, val_path, out_dir=None):
     train_recs = _prepare(train_path, cleaning)
     val_recs = _prepare(val_path, cleaning) if val_path else []
     vocab = build_vocab(train_recs, min_count=1)
-    train_data = encode_corpus(train_recs, vocab, cleaning)
-    val_data = encode_corpus(val_recs, vocab, cleaning)
-    model = HCMSModel(_model_config(cfg, len(vocab)), seed=cfg["seed"])
+    mcfg = _model_config(cfg, len(vocab))
+    train_data = encode_corpus(train_recs, vocab, mcfg.lang_features)
+    val_data = encode_corpus(val_recs, vocab, mcfg.lang_features)
+    model = HCMSModel(mcfg, seed=cfg["seed"])
     log = train(model, train_data, val_data, tcfg, ocfg)
     if out_dir:
         (out_dir / "epochs.log").write_text(
@@ -202,7 +201,7 @@ def _load_for_inference(checkpoint):
 def _score_file(inference, path, cfg):
     """metrics.score of (model, vocab, cleaning)'s labels for a corpus file."""
     model, vocab, cleaning = inference
-    data = encode_corpus(_prepare(path, cleaning), vocab, cleaning)
+    data = encode_corpus(_prepare(path, cleaning), vocab, model.config.lang_features)
     return score(*evaluate(model, data, cfg["batch_size"]), model.config.n_classes)
 
 
@@ -218,7 +217,7 @@ def cmd_predict(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
     records, memo = _load_corpus(args.input)[0], {}  # each distinct token cleaned once
     data = [([UNK], None) if (cleaned := clean(rec, cleaning, memo)) is None
-            else encode(cleaned, vocab, cleaning) for rec in records]
+            else encode(cleaned, vocab, model.config.lang_features) for rec in records]
     preds = predict(model, data, cfg["batch_size"])
     text = "".join(f"{rec.id}\t{LABELS[p]}\n" for rec, p in zip(records, preds))
     (out / "predictions.tsv").write_text(text, encoding="utf-8")

@@ -11,7 +11,11 @@ from collections import Counter
 from dataclasses import dataclass, asdict, fields
 from importlib import resources
 
+import numpy as np
+
 LANG_TAGS = ("HIN", "ENG", "O", "EMT")
+LANG_ROWS = np.eye(len(LANG_TAGS))  # row i is the one-hot of LANG_TAGS[i]
+_LANG_POSITION = {tag: i for i, tag in enumerate(LANG_TAGS)}
 LABELS = ("positive", "negative", "neutral")
 PAD, UNK = 0, 1
 
@@ -49,6 +53,7 @@ class CleaningConfig:
     strip_usernames: bool = True
     strip_links: bool = True
     hashtag_keep_word: bool = True
+    # the run-config key; only cli._model_config reads it, as ModelConfig.lang_features
     append_lang_onehot: bool = False
 
     def to_dict(self):
@@ -269,25 +274,18 @@ def build_vocab(records, min_count=1):
     return Vocabulary(kept)
 
 
-def encode(record, vocab, cfg: CleaningConfig):
-    """Returns (ids, lang_onehot or None) for an already-cleaned record."""
-    ids = [vocab.lookup(t) for t in record.tokens]
-    onehot = None
-    if cfg.append_lang_onehot:
-        onehot = [[1.0 if tag == lt else 0.0 for lt in LANG_TAGS]
-                  for tag in record.lang_tags]
-    return ids, onehot
+def encode(record, vocab, lang_features):
+    """(ids, lang) for an already-cleaned record; lang is the tags' LANG_ROWS,
+    a float64 [n, 4] array, when lang_features is true, else None."""
+    lang = LANG_ROWS[[_LANG_POSITION[t] for t in record.lang_tags]] if lang_features else None
+    return [vocab.lookup(t) for t in record.tokens], lang
 
 
-def encode_corpus(records, vocab, cfg):
+def encode_corpus(records, vocab, lang_features):
     """Encode records into (ids, lang, label_index) triples for training."""
     label_map = {lbl: i for i, lbl in enumerate(LABELS)}
-    out = []
-    for rec in records:
-        ids, onehot = encode(rec, vocab, cfg)
-        label = label_map[rec.label] if rec.label is not None else None
-        out.append((ids, onehot, label))
-    return out
+    return [(*encode(rec, vocab, lang_features),
+             None if rec.label is None else label_map[rec.label]) for rec in records]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CleaningConfig
-from .layers import HCMSModel, ModelConfig, check_field_types
+from .layers import ConfigError, HCMSModel, ModelConfig, check_field_types
 from .metrics import score
 from .tensor import Parameter
 
@@ -78,6 +78,13 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     shuffle: bool = True
+
+    def validate(self):
+        """Raise ConfigError unless this config describes a run that trains."""
+        check_field_types(self)
+        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if (value := getattr(self, key)) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {value}")
 
 
 def cross_entropy(y_onehot, probs):
@@ -172,8 +179,10 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
 
     Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
     label_index). Keeps the parameter snapshot with the best validation
-    weighted F1 and restores it before returning.
+    weighted F1 and restores it before returning. A tcfg that breaks
+    TrainConfig.validate raises ConfigError before anything trains.
     """
+    tcfg.validate()
     if not train_data:
         raise DataError("empty training corpus")
     n_classes = model.config.n_classes

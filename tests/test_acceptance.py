@@ -190,7 +190,7 @@ def test_overfit_bundled_corpus():
     cleaning = CleaningConfig()
     cleaned, _ = clean_corpus(records, cleaning)
     vocab = build_vocab(cleaned)
-    data = encode_corpus(cleaned, vocab, cleaning)
+    data = encode_corpus(cleaned, vocab, False)
     cfg = ModelConfig(vocab_size=len(vocab), embed_dim=32, filters=32,
                       kernel=4, attn_hidden=16, max_len=18)
     model = HCMSModel(cfg, seed=0)

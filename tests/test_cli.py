@@ -5,10 +5,12 @@ import struct
 import pytest
 
 from hcms.cli import main
-from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, clean, encode,
-                         parse_conll, serialize_conll)
+from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, clean,
+                         clean_corpus, encode, parse_conll, serialize_conll)
+from hcms.layers import HCMSModel, ModelConfig
+from hcms.metrics import format_report_kv, score
 from synthetic import load_mini_corpus
-from hcms.train import load_checkpoint
+from hcms.train import load_checkpoint, save_checkpoint
 
 FAST = ["--set", "embed_dim=12", "--set", "filters=6", "--set", "kernel=3",
         "--set", "attn_hidden=6", "--set", "max_len=16", "--set", "epochs=4",
@@ -43,6 +45,13 @@ def _train(corpus_files, out, *settings):
 @pytest.fixture(scope="module")
 def trained(corpus_files, tmp_path_factory):
     return _train(corpus_files, tmp_path_factory.mktemp("train_out"))
+
+
+@pytest.fixture(scope="module")
+def trained_lang(corpus_files, tmp_path_factory):
+    # the one CLI-trained model whose tokens carry language rows
+    return _train(corpus_files, tmp_path_factory.mktemp("train_lang"),
+                  "--set", "append_lang_onehot=true")
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +144,65 @@ def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
     expected = []
     for r in records:
         cleaned = clean(r, cfg)
-        ids, lang = encode(cleaned, vocab, cfg) if cleaned else ([UNK], None)
+        ids, lang = encode(cleaned, vocab, model.config.lang_features) if cleaned else ([UNK], None)
         expected.append(f"{r.id}\t{LABELS[model.predict(ids, lang)]}")
     lines = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
     assert lines == expected
+
+
+def oracle_labels(checkpoint, records):
+    """model.predict's class for each record, cleaned by the checkpoint's flags
+    and encoded with the language rows its model's lang_features asks for."""
+    model, tokens, extra = load_checkpoint(checkpoint)
+    vocab, cfg = Vocabulary.from_tokens(tokens), CleaningConfig.from_dict(extra.get("cleaning", {}))
+    labels = []
+    for r in records:
+        cleaned = clean(r, cfg)
+        ids, lang = encode(cleaned, vocab, model.config.lang_features) if cleaned else ([UNK], None)
+        labels.append(int(model.predict(ids, lang)))
+    return labels
+
+
+def predict_lines(checkpoint, path, out):
+    code = main(["predict", "--checkpoint", str(checkpoint), "--input", str(path),
+                 "--out-dir", str(out), "--set", "batch_size=4"])
+    assert code == 0
+    return (out / "predictions.tsv").read_text(encoding="utf-8").splitlines()
+
+
+def test_predict_lang_rows_match_oracle(corpus_files, trained_lang, tmp_path):
+    ckpt, path = trained_lang / "model.ckpt", corpus_files / "unlabeled.conll"
+    assert load_checkpoint(ckpt)[0].config.lang_features
+    records = parse_conll(path.read_text(encoding="utf-8"))[0]
+    assert predict_lines(ckpt, path, tmp_path) == [
+        f"{r.id}\t{LABELS[p]}" for r, p in zip(records, oracle_labels(ckpt, records))]
+
+
+def test_library_checkpoint_lang_rows(corpus_files, tmp_path):
+    # saved with no extra, so no cleaning flag is recorded: eval and predict
+    # encode language rows because the model's config has lang_features
+    cleaning = CleaningConfig()
+    vocab = build_vocab(clean_corpus(load_mini_corpus()[:40], cleaning)[0])
+    model = HCMSModel(ModelConfig(vocab_size=len(vocab), embed_dim=12, filters=6, kernel=3,
+                                  attn_hidden=6, max_len=16, lang_features=True), seed=0)
+    ckpt = tmp_path / "lib.ckpt"
+    save_checkpoint(model, vocab.index_to_token, ckpt)
+    unlabeled = corpus_files / "unlabeled.conll"
+    records = parse_conll(unlabeled.read_text(encoding="utf-8"))[0]
+    preds = oracle_labels(ckpt, records)
+    # the rows decide some labels, so all-zero rows would not pass
+    assert preds != [int(model.predict(encode(clean(r, cleaning), vocab, False)[0]))
+                     for r in records]
+    assert predict_lines(ckpt, unlabeled, tmp_path / "predict") == [
+        f"{r.id}\t{LABELS[p]}" for r, p in zip(records, preds)]
+    labeled = clean_corpus(parse_conll((corpus_files / "test.conll").read_text(
+        encoding="utf-8"))[0], cleaning)[0]
+    report = score([LABELS.index(r.label) for r in labeled], oracle_labels(ckpt, labeled), 3)
+    code = main(["eval", "--checkpoint", str(ckpt), "--input", str(corpus_files / "test.conll"),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 0
+    assert (tmp_path / "eval" / "report.kv").read_text(encoding="utf-8") == \
+        format_report_kv(report) + "\n"
 
 
 @pytest.mark.parametrize("checkpoint", ["trained", "trained_global_self"])

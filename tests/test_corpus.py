@@ -3,7 +3,8 @@ import pytest
 
 from hcms.corpus import (CleaningConfig, ConllParseError, TweetRecord,
                          Vocabulary, build_vocab, clean, clean_corpus,
-                         corpus_stats, encode, parse_conll, serialize_conll)
+                         corpus_stats, encode, parse_conll, read_conll_file,
+                         serialize_conll)
 from synthetic import load_mini_corpus
 
 
@@ -66,6 +67,22 @@ def test_parse_serialize_roundtrip():
     records2, skipped = parse_conll(text, strict=True)
     assert not skipped
     assert records2 == records
+
+
+def test_parse_file_matches_text(tmp_path):
+    # CRLF endings, runs of blank lines, two lenient skips, no final newline
+    lines = ["meta\t1\tpositive", "hello\tEng", "", "", "",
+             "bad line", "",
+             "meta\t2", "yaar\tHin", "", "",
+             "meta\t3\tnope", "x\tO", "",
+             "meta\t4\tneutral", "ok\tO"]
+    text = "\r\n".join(lines)
+    path = tmp_path / "crlf.conll"
+    path.write_bytes(text.encode("utf-8"))
+    records, skipped = parse_conll(text)
+    assert [r.id for r in records] == ["1", "2", "4"]
+    assert [s["line"] for s in skipped] == [6, 12]
+    assert read_conll_file(path) == (records, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +207,26 @@ def test_vocab_tie_break_lexicographic():
 
 
 def test_encode_known_and_unknown():
+    # a CleaningConfig passed where the bool goes is truthy and would give rows
     v = build_vocab([rec(["a", "a", "b"])])
-    ids, onehot = encode(rec(["a", "b"]), v, CleaningConfig())
+    ids, onehot = encode(rec(["a", "b"]), v, False)
     assert ids == [2, 3] and onehot is None
-    ids, _ = encode(rec(["mystery"]), v, CleaningConfig())
+    ids, _ = encode(rec(["mystery"]), v, False)
     assert ids == [1]
 
 
 def test_encode_never_pad_never_overflow():
     v = build_vocab([rec(["a", "b", "c"])])
     for tokens in (["a"], ["zzz"], ["a", "q", "c"]):
-        ids, _ = encode(rec(tokens), v, CleaningConfig())
+        ids, _ = encode(rec(tokens), v, False)
         assert all(0 < i < len(v) for i in ids)
 
 
 def test_encode_lang_onehot():
     v = build_vocab([rec(["a"])])
-    cfg = CleaningConfig(append_lang_onehot=True)
-    ids, onehot = encode(rec(["a", "b"], tags=["HIN", "EMT"]), v, cfg)
-    assert onehot == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    ids, onehot = encode(rec(["a", "b"], tags=["HIN", "EMT"]), v, True)
+    assert onehot.dtype == np.float64
+    assert onehot.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
 
 
 def test_vocab_roundtrip_through_token_list():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcms import tensor as T
-from hcms.layers import HCMSModel, ModelConfig
+from hcms.layers import ConfigError, HCMSModel, ModelConfig
 from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         CheckpointVersionError, DataError, DivergenceError,
                         LabelError,
@@ -146,6 +146,19 @@ def test_train_rejects_bad_labels(rng, split, label):
     before = m.store.value.copy()
     with pytest.raises(DataError):
         train(m, data["train"], data["val"], TrainConfig(epochs=1, batch_size=4),
+              DEFAULT_OPT)
+    assert m.store.value.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("setting", [dict(batch_size=0), dict(batch_size=2.0),
+                                     dict(seed=-1), dict(epochs=0)],
+                         ids=["batch_size=0", "batch_size=2.0", "seed=-1", "epochs=0"])
+def test_train_rejects_bad_train_config(rng, setting):
+    # the CLI's run-config rules hold for a library call too
+    m = HCMSModel(tiny_config(), seed=0)
+    before = m.store.value.copy()
+    with pytest.raises(ConfigError):
+        train(m, tiny_data(rng), [], TrainConfig(**{"epochs": 1, "batch_size": 4, **setting}),
               DEFAULT_OPT)
     assert m.store.value.tobytes() == before.tobytes()
 
