@@ -5,6 +5,7 @@ block is "meta<TAB><id>[<TAB><label>]"; every following line is
 "<token><TAB><lang_tag>" with lang_tag in {Hin, Eng, O, EMT} (any case).
 """
 
+import io
 import json
 import re
 from collections import Counter
@@ -17,6 +18,7 @@ LANG_TAGS = ("HIN", "ENG", "O", "EMT")
 LANG_ROWS = np.eye(len(LANG_TAGS))  # row i is the one-hot of LANG_TAGS[i]
 _LANG_POSITION = {tag: i for i, tag in enumerate(LANG_TAGS)}
 LABELS = ("positive", "negative", "neutral")
+_LABEL_POSITION = {label: i for i, label in enumerate(LABELS)}
 PAD, UNK = 0, 1
 
 _REPEAT_RE = re.compile(r"(.)\1{2,}")
@@ -24,6 +26,10 @@ _REPEAT_RE = re.compile(r"(.)\1{2,}")
 
 class ConllParseError(ValueError):
     """Malformed block in strict mode; message carries the line number."""
+
+
+class RecordError(ValueError):
+    """A record's language tag or sentiment label names no LANG_TAGS or LABELS entry."""
 
 
 def _load_table(name):
@@ -68,30 +74,49 @@ class CleaningConfig:
 # ---------------------------------------------------------------------------
 # parsing / serialization
 
-def _parse_block(block_lines, start_line):
+def _lang_position(raw):
+    """raw's index in LANG_TAGS, read as a tag (surrounding space stripped,
+    any case), or None."""
+    return _LANG_POSITION.get(raw.strip().upper())
+
+
+def _label_position(raw):
+    """raw's index in LABELS, read as a label (surrounding space stripped,
+    any case), or None."""
+    return _LABEL_POSITION.get(raw.strip().lower())
+
+
+def _parse_block(block_lines, start_line, tokens_seen, tag_of):
+    """One record from a block's lines. tokens_seen maps each token met in
+    this parse to itself and tag_of each raw tag to its LANG_TAGS entry, so
+    every record holds one shared object per distinct string."""
     first = block_lines[0].split("\t")
     if len(first) < 2 or len(first) > 3 or first[0].strip().lower() != "meta":
         raise ConllParseError(f"line {start_line}: expected meta line, got {block_lines[0]!r}")
     tweet_id, label = first[1].strip(), None
     if len(first) == 3:
-        label = first[2].strip().lower()
-        if label not in LABELS:
+        position = _label_position(first[2])
+        if position is None:
             # swapped id/label fields are tolerated
-            if tweet_id.lower() in LABELS:
-                tweet_id, label = label, tweet_id.lower()
-            else:
+            if (position := _label_position(tweet_id)) is None:
                 raise ConllParseError(
                     f"line {start_line}: unknown sentiment label {first[2]!r}")
+            tweet_id = first[2].strip().lower()
+        label = LABELS[position]
     tokens, tags = [], []
     for off, line in enumerate(block_lines[1:], start=1):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ConllParseError(
                 f"line {start_line + off}: expected token<TAB>tag, got {line!r}")
-        tag = parts[1].strip().upper()
-        if tag not in LANG_TAGS:
-            raise ConllParseError(f"line {start_line + off}: unknown language tag {parts[1]!r}")
-        tokens.append(parts[0])
+        token, raw_tag = parts
+        tag = tag_of.get(raw_tag)
+        if tag is None:
+            if (position := _lang_position(raw_tag)) is None:
+                raise ConllParseError(
+                    f"line {start_line + off}: unknown language tag {raw_tag!r}")
+            tag = tag_of[raw_tag] = LANG_TAGS[position]
+        tokens.append(tokens_seen.setdefault(token, token))
         tags.append(tag)
     if not tokens:
         raise ConllParseError(f"line {start_line}: block has no token lines")
@@ -99,32 +124,38 @@ def _parse_block(block_lines, start_line):
 
 
 def parse_conll(text, strict=False):
-    """Parse CONLL text into records.
+    """Parse CONLL text (a string, or an open text file read line by line)
+    into records.
 
     Returns (records, skipped) where skipped is a list of
     {"line": int, "reason": str} entries for malformed blocks. In strict
-    mode the first malformed block raises ConllParseError instead.
+    mode the first malformed block raises ConllParseError instead. Each
+    distinct token and tag string is stored once per parse, and every
+    record holds that one object.
     """
-    if hasattr(text, "read"):
-        text = text.read()
-    records, skipped = [], []
+    lines = io.StringIO(text) if isinstance(text, str) else text
+    records, skipped, tokens_seen, tag_of = [], [], {}, {}
     block, block_start = [], None
-    lines = text.split("\n")
-    for lineno, raw in enumerate(lines + [""], start=1):
-        line = raw.rstrip("\r")
-        if line.strip() == "":
-            if block:
-                try:
-                    records.append(_parse_block(block, block_start))
-                except ConllParseError as exc:
-                    if strict:
-                        raise
-                    skipped.append({"line": block_start, "reason": str(exc)})
-                block, block_start = [], None
-            continue
-        if block_start is None:
-            block_start = lineno
-        block.append(line)
+
+    def flush():
+        try:
+            records.append(_parse_block(block, block_start, tokens_seen, tag_of))
+        except ConllParseError as exc:
+            if strict:
+                raise
+            skipped.append({"line": block_start, "reason": str(exc)})
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip():
+            if not block:
+                block_start = lineno
+            block.append(line)
+        elif block:
+            flush()
+            block = []
+    if block:
+        flush()
     return records, skipped
 
 
@@ -274,18 +305,35 @@ def build_vocab(records, min_count=1):
     return Vocabulary(kept)
 
 
+def _known(position, raw, what):
+    """position, unless it is None: then raw names no LANG_TAGS or LABELS entry."""
+    if position is None:
+        raise RecordError(f"unknown {what} {raw!r}")
+    return position
+
+
 def encode(record, vocab, lang_features):
     """(ids, lang) for an already-cleaned record; lang is the tags' LANG_ROWS,
-    a float64 [n, 4] array, when lang_features is true, else None."""
-    lang = LANG_ROWS[[_LANG_POSITION[t] for t in record.lang_tags]] if lang_features else None
+    a float64 [n, 4] array, when lang_features is true, else None. Tags are
+    read as parse_conll reads them; RecordError for one that names no tag."""
+    lang = None
+    if lang_features:
+        try:
+            at = [_LANG_POSITION[t] for t in record.lang_tags]
+        except KeyError:  # not in parse_conll's form: normalise each tag
+            at = [_known(_lang_position(t), t, "language tag") for t in record.lang_tags]
+        lang = LANG_ROWS[at]
     return [vocab.lookup(t) for t in record.tokens], lang
 
 
 def encode_corpus(records, vocab, lang_features):
-    """Encode records into (ids, lang, label_index) triples for training."""
-    label_map = {lbl: i for i, lbl in enumerate(LABELS)}
+    """Encode records into (ids, lang, label_index) triples for training.
+    Labels are read as parse_conll reads them; RecordError for one that
+    names no label."""
     return [(*encode(rec, vocab, lang_features),
-             None if rec.label is None else label_map[rec.label]) for rec in records]
+             None if rec.label is None
+             else _known(_label_position(rec.label), rec.label, "sentiment label"))
+            for rec in records]
 
 
 # ---------------------------------------------------------------------------

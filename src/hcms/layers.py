@@ -151,13 +151,17 @@ class EmbeddingLayer:
     """Token id -> embedding row lookup: [B, L] ids -> [B, L, dim] rows of
     table [vocab, dim]. Row 0 is PAD, frozen at zero."""
 
-    def forward(self, ids):
+    def check(self, ids):
+        """ids as an int64 array; VocabularyError for an id outside the table."""
         ids = np.asarray(ids, dtype=np.int64)
         n = self.table.shape[0]
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise VocabularyError(
                 f"token id out of range [0, {n}): {ids[(ids < 0) | (ids >= n)][0]}")
-        return self.table.value[ids]
+        return ids
+
+    def forward(self, ids):
+        return self.table.value[self.check(ids)]
 
     def backward(self, dK, keys):
         """dK [n, dim] is the gradient at the distinct keys [n] of a forward's
@@ -184,13 +188,21 @@ class ConvBlock:
     _conv_len = ModelConfig._conv_len
     out_len = ModelConfig.out_len
 
-    def forward(self, X, lengths=None, keys=None):
+    def forward(self, X, lengths=None, keys=None, table=None):
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
         -inf before the max, so padding never wins it. keys [B, u], if given,
-        name equal rows of X (see tensor.distinct_rows)."""
-        layout = T.distinct_rows(X, keys)
-        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride, layout))
+        name equal rows of X (see tensor.distinct_rows). table, if given, is
+        (taps, inv): a tensor.tap_table built over a wider scope than the
+        batch and the batch's [B, u] index map into it, and X is read for its
+        shape alone (HCMSModel.predict_table)."""
+        if table is None:
+            layout, taps = T.distinct_rows(X, keys), None
+        else:
+            taps, inv = table
+            layout = None, inv, None
+        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
+                            layout, taps))
         if self.global_pool:
             pool, stride = R.shape[-2], 1
             if lengths is not None:
@@ -371,22 +383,45 @@ class HCMSModel:
         """
         if np.ndim(ids) == 1:
             return self.forward(*self.fit_batch([(ids, lang)]))[0]
-        X = self.embedding.forward(ids)
-        # equal ids give equal rows of X, and key % vocab_size is the id
-        keys = np.asarray(ids, dtype=np.int64)
+        X = self.embedding.forward(ids)  # checks the ids for keys
+        keys = self.keys(ids, lang)
         if lang is not None:
             X = np.concatenate([X, lang], axis=-1)
-            # equal (id, lang row) pairs give equal rows of [X, lang]
-            _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
-                                return_inverse=True)
-            keys = keys + self.config.vocab_size * code.reshape(keys.shape)
         C = self.conv.forward(X, lengths, keys)
         del X  # freed before the attention allocates its [B, v, v, hidden] tensor
+        return self._classify(C)
+
+    def _classify(self, C):
+        """Class probabilities from the conv block's output C [B, v', f]."""
         if self.attention is not None:
             G = self.attention.forward(C)
         else:
             G = C.reshape(C.shape[0], -1)
         return self.head.forward(G)
+
+    def keys(self, ids, lang=None):
+        """Keys [B, L] of a batch (or a padded corpus) in fit_batch's layout:
+        equal keys name equal rows of the conv input [X, lang], and
+        key % vocab_size is the token id. Under lang_features each id is
+        combined with a code for its distinct language row, from one
+        np.unique over lang's rows, so the keys stay exact for any lang array.
+        The ids must be in the embedding table's range (EmbeddingLayer.check):
+        the key of one outside it can equal another id's."""
+        keys = np.asarray(ids, dtype=np.int64)
+        if lang is None:
+            return keys
+        _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0, return_inverse=True)
+        return keys + self.config.vocab_size * code.reshape(keys.shape)
+
+    def tap_table(self, ids, lang, at, out=None):
+        """tensor.tap_table of the conv input's rows [X, lang] at flat
+        positions at of a batch (or a padded corpus) in fit_batch's layout,
+        gathered from the embedding table without building X, and written
+        into out if given."""
+        rows = self.embedding.forward(ids.reshape(-1)[at])
+        if lang is not None:
+            rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
+        return T.tap_table(rows, self.conv.filters.value, out)
 
     def backward(self, dlogits):
         """Backward from the gradient at the pre-softmax logits, [B, n_classes]
@@ -405,7 +440,19 @@ class HCMSModel:
         Inference runs no backward, so the layers' batch-sized caches are
         dropped rather than held until the next forward.
         """
-        labels = np.argmax(self.forward(ids, lang, lengths), axis=-1)
+        return self._labels(self.forward(ids, lang, lengths))
+
+    def predict_table(self, taps, inv, lengths=None):
+        """predict for a batch whose conv tap table was built over a wider
+        scope (train.predict builds one per chunk of batches): taps [k, n, f]
+        is tap_table over n distinct rows and inv [B, u] maps each position to
+        its row. No embedding gather; the conv block gets a zero-stride
+        stand-in for its [B, u, d] input."""
+        X = np.broadcast_to(0.0, inv.shape + self.conv.filters.shape[2:])
+        return self._labels(self._classify(self.conv.forward(X, lengths, table=(taps, inv))))
+
+    def _labels(self, probs):
+        labels = np.argmax(probs, axis=-1)
         for layer in (self.conv, self.attention, self.head):
             if layer is not None:
                 layer._cache = None

@@ -53,8 +53,10 @@ class Parameter:
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
 # term depends only on the input row and the tap j. One batched GEMM
-# multiplies each distinct row by the k taps, giving a [k, rows, f] table,
-# and each output row adds up its k table rows.
+# (tap_table) multiplies each distinct row by the k taps, giving a
+# [k, rows, f] table, and each output row adds up its k table rows. A
+# training step builds the table over its batch; predict, whose filters do
+# not change, builds one over a chunk of batches and passes it in (taps).
 #
 # The backward runs the same sums the other way. For each tap j, group_sum
 # adds up dout over the windows whose tap j reads each distinct row, giving
@@ -94,7 +96,18 @@ def group_sum(keys, values):
     return run_keys[starts], np.add.reduceat(values[order], starts, axis=0)
 
 
-def conv1d(x, filters, bias, stride=1, layout=None):
+def tap_table(rows, filters, out=None):
+    """[k, n, f]: each of rows [n, d] times each of the k taps of filters [f, k, d].
+    out, if given, is a [k, >= n, f] buffer whose first n rows per tap take it."""
+    if out is None:
+        return rows @ filters.transpose(1, 2, 0)
+    return np.matmul(rows, filters.transpose(1, 2, 0), out=out[:, :len(rows)])
+
+
+def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
+    """taps, if given, is the tap_table of the rows the layout's index map
+    names, built over a wider scope than x; the layout's rows are then not
+    read."""
     x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
     u, d = x.shape[-2:]
     f, k, fd = filters.shape
@@ -104,7 +117,8 @@ def conv1d(x, filters, bias, stride=1, layout=None):
         raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
     v = (u - k) // stride + 1
     rows, inv, _ = layout or distinct_rows(x)
-    taps = rows @ filters.transpose(1, 2, 0)  # [k, distinct rows, f]
+    if taps is None:
+        taps = tap_table(rows, filters)
     out = taps[0].take(inv[:, _strided(v, stride)], axis=0)
     out += bias
     for j in range(1, k):

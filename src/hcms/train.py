@@ -71,6 +71,19 @@ class OptimizerConfig:
     beta2: float = 0.99
     epsilon: float = 1e-7
 
+    def validate(self):
+        """Raise ConfigError unless Adam runs with this config: lr finite and
+        not negative (0.0 leaves the parameters as they are), epsilon finite
+        and positive, and each beta in [0, 1)."""
+        check_field_types(self)
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and not negative, got {self.lr}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= (value := getattr(self, key)) < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {value}")
+
 
 @dataclass
 class TrainConfig:
@@ -160,12 +173,52 @@ def _batches(model, padded, order, batch_size):
         yield idx, (ids[rows], lang if lang is None else lang[rows], lengths[idx])
 
 
+def _chunks(batches, n_rows, cap):
+    """(rows, run) per run of consecutive batches of _batches over an index map
+    into n_rows distinct rows: the run's distinct rows, sorted, fit in cap,
+    and the next batch's would not."""
+    used, count, run = np.zeros(n_rows, dtype=bool), 0, []
+    for batch in batches:
+        rows = np.unique(batch[1][0])
+        fresh = rows[~used[rows]]
+        if count + fresh.size > cap:
+            yield np.flatnonzero(used), run
+            used[:] = False
+            count, run, fresh = 0, [], rows
+        used[fresh] = True
+        count += fresh.size
+        run.append(batch)
+    if run:
+        yield np.flatnonzero(used), run
+
+
 def predict(model, data, batch_size):
-    """Predicted labels over encoded examples, padded once and run batch_size
-    at a time (which bounds the attention layer's [B, v, v, hidden] tensor)."""
-    batches = _batches(model, model.fit_batch([ex[:2] for ex in data]),
+    """Predicted labels over encoded examples, run batch_size at a time (which
+    bounds the attention layer's [B, v, v, hidden] tensor). The input is
+    padded once and keyed once: one np.unique over all its keys gives its
+    distinct conv input rows and each position's row. The conv tap table is
+    built once per chunk, a run of consecutive batches whose distinct rows fit
+    in batch_size * L (L the padded length), the most one batch's table could
+    hold; each batch gathers from it by its own slice of the index map. Every
+    chunk's table is written into one buffer that lives through the call, so
+    the memory peak is that buffer plus one batch's attention tensor."""
+    ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
+    _, first, inv = np.unique(model.keys(model.embedding.check(ids), lang),
+                              return_index=True, return_inverse=True)
+    batches = _batches(model, (inv.reshape(ids.shape), None, lengths),
                        np.arange(len(data)), batch_size)
-    return [label for _, batch in batches for label in model.predict(*batch).tolist()]
+    cap = batch_size * ids.shape[1]
+    f, k, _ = model.conv.filters.shape
+    # one buffer for every chunk's table: tables allocated and freed chunk by
+    # chunk fragment the heap, which then keeps freed tables resident
+    table = np.empty((k, min(len(first), cap), f))
+    labels, table_row = [], np.empty(len(first), dtype=np.int64)
+    for rows, run in _chunks(batches, len(first), cap):
+        taps = model.tap_table(ids, lang, first[rows], table)
+        table_row[rows] = np.arange(len(rows))  # each distinct row's row in taps
+        for _, (row_of, _, batch_lengths) in run:
+            labels += model.predict_table(taps, table_row[row_of], batch_lengths).tolist()
+    return labels
 
 
 def evaluate(model, data, batch_size=TrainConfig.batch_size):
@@ -179,10 +232,11 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
 
     Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
     label_index). Keeps the parameter snapshot with the best validation
-    weighted F1 and restores it before returning. A tcfg that breaks
-    TrainConfig.validate raises ConfigError before anything trains.
+    weighted F1 and restores it before returning. A tcfg or ocfg that breaks
+    its validate() raises ConfigError before anything trains.
     """
     tcfg.validate()
+    ocfg.validate()
     if not train_data:
         raise DataError("empty training corpus")
     n_classes = model.config.n_classes

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hcms.corpus import (CleaningConfig, ConllParseError, TweetRecord,
-                         Vocabulary, build_vocab, clean, clean_corpus,
-                         corpus_stats, encode, parse_conll, read_conll_file,
-                         serialize_conll)
+from hcms.corpus import (LANG_TAGS, CleaningConfig, ConllParseError, RecordError,
+                         TweetRecord, Vocabulary, build_vocab, clean, clean_corpus,
+                         corpus_stats, encode, encode_corpus, parse_conll,
+                         read_conll_file, serialize_conll)
 from synthetic import load_mini_corpus
 
 
@@ -83,6 +83,20 @@ def test_parse_file_matches_text(tmp_path):
     assert [r.id for r in records] == ["1", "2", "4"]
     assert [s["line"] for s in skipped] == [6, 12]
     assert read_conll_file(path) == (records, skipped)
+
+
+def test_parse_stores_each_string_once(tmp_path):
+    text = ("meta\t1\tpositive\nyaar\tHin\nlove\tEng\nyaar\tHIN\n\n"
+            "meta\t2\tnegative\nlove\t eng\nyaar\thin\n:)\tEMT\nhttp://x\tO\n\n")
+    path = tmp_path / "c.conll"
+    path.write_text(text, encoding="utf-8")
+    for records, _ in (parse_conll(text), read_conll_file(path)):
+        tokens = [t for r in records for t in r.tokens]
+        for token in set(tokens):
+            assert len({id(t) for t in tokens if t == token}) == 1
+        tags = [t for r in records for t in r.lang_tags]
+        assert tags == ["HIN", "ENG", "HIN", "ENG", "HIN", "EMT", "O"]
+        assert {id(t) for t in tags} <= {id(t) for t in LANG_TAGS}
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +241,18 @@ def test_encode_lang_onehot():
     ids, onehot = encode(rec(["a", "b"], tags=["HIN", "EMT"]), v, True)
     assert onehot.dtype == np.float64
     assert onehot.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+
+
+def test_encode_reads_tags_and_labels_as_parse_does():
+    v = build_vocab([rec(["a"])])
+    _, onehot = encode(rec(["a", "b"], tags=["Hin", " emt "]), v, True)
+    assert onehot.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    ((_, _, label),) = encode_corpus([rec(["a"], label="Positive")], v, False)
+    assert label == 0
+    with pytest.raises(RecordError, match="XYZ"):
+        encode(rec(["a"], tags=["XYZ"]), v, True)
+    with pytest.raises(RecordError, match="XYZ"):
+        encode_corpus([rec(["a"], label="XYZ")], v, False)
 
 
 def test_vocab_roundtrip_through_token_list():

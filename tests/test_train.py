@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hcms import tensor as T
-from hcms.layers import ConfigError, HCMSModel, ModelConfig
+from hcms.layers import ConfigError, HCMSModel, ModelConfig, VocabularyError
 from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         CheckpointVersionError, DataError, DivergenceError,
                         LabelError,
                         OptimizerConfig, Parameter, TrainConfig, adam_step,
                         cross_entropy, cross_entropy_softmax_grad,
-                        _batches, load_checkpoint, save_checkpoint, train)
+                        _batches, load_checkpoint, predict, save_checkpoint, train)
 from conftest import assert_close
 from extra_ops import cross_entropy_backward
 
@@ -163,6 +163,22 @@ def test_train_rejects_bad_train_config(rng, setting):
     assert m.store.value.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("setting", [
+    dict(lr=-0.01), dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=1),
+    dict(epsilon=0.0), dict(epsilon=-1e-7), dict(epsilon=float("nan")),
+    dict(beta1=1.0), dict(beta1=float("nan")), dict(beta2=-0.1)],
+    ids=["lr=-0.01", "lr=nan", "lr=inf", "lr=int", "epsilon=0", "epsilon<0",
+         "epsilon=nan", "beta1=1", "beta1=nan", "beta2<0"])
+def test_train_rejects_bad_optimizer_config(rng, setting):
+    # a library call meets the CLI's optimizer rules, lr=0.0 aside
+    m = HCMSModel(tiny_config(), seed=0)
+    before = m.store.value.copy()
+    with pytest.raises(ConfigError):
+        train(m, tiny_data(rng), [], TrainConfig(epochs=1, batch_size=4),
+              OptimizerConfig(**setting))
+    assert m.store.value.tobytes() == before.tobytes()
+
+
 def test_train_zero_lr_leaves_params(rng):
     m = HCMSModel(tiny_config(), seed=0)
     before = {k: p.value.copy() for k, p in m.parameters().items()}
@@ -286,6 +302,87 @@ def test_train_pads_each_corpus_once(rng, monkeypatch):
     train(m, tiny_data(rng, n=10), tiny_data(rng, n=6), TrainConfig(epochs=3, batch_size=4),
           DEFAULT_OPT)
     assert calls == [10, 6, 6, 6]
+
+
+# ---------------------------------------------------------------------------
+# predict: one key layout per input, one tap table per chunk of batches
+
+PREDICT_CONFIGS = {"windowed": {}, "global_pool": dict(global_pool=True, include_self=True),
+                   "lang_features": dict(lang_features=True),
+                   "attention_off": dict(attention_enabled=False)}
+
+
+def chunked_input(rng, m, n=40):
+    """n examples over a 64-token vocabulary, lengths 1 to 13 around max_len
+    8: more distinct rows than batch_size * L for the batch sizes below."""
+    data = []
+    for length in rng.integers(1, 14, size=n):
+        lang = np.eye(4)[rng.integers(4, size=length)] if m.config.lang_features else None
+        data.append((list(rng.integers(2, 64, size=length)), lang, 0))
+    return data
+
+
+@pytest.mark.parametrize("overrides", PREDICT_CONFIGS.values(), ids=PREDICT_CONFIGS)
+def test_predict_matches_per_batch_model_predict(rng, overrides, monkeypatch):
+    m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    data, batch_size = chunked_input(rng, m), 3
+    probs, labels = [], m._labels
+    monkeypatch.setattr(m, "_labels", lambda p: probs.append(p) or labels(p))
+    got = predict(m, data, batch_size)
+    got_probs = np.concatenate(probs)
+    monkeypatch.undo()
+    want, want_probs = [], []
+    for start in range(0, len(data), batch_size):
+        batch = m.fit_batch([ex[:2] for ex in data[start:start + batch_size]])
+        want += m.predict(*batch).tolist()
+        want_probs.append(m.forward(*batch))
+    assert got == want
+    # OpenBLAS may round a row differently in a product of a few rows
+    np.testing.assert_allclose(got_probs, np.concatenate(want_probs), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(global_pool=True, include_self=True)],
+                         ids=["windowed", "global_pool"])
+def test_predict_builds_one_tap_table_per_chunk(rng, overrides, monkeypatch):
+    # reference: greedy runs of batches whose distinct ids fit in batch_size * L
+    m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
+    data, batch_size = chunked_input(rng, m), 3
+    ids, _, lengths = m.fit_batch([ex[:2] for ex in data])
+    cap = batch_size * ids.shape[1]
+    want, run = [], set()
+    for start in range(0, len(data), batch_size):
+        rows = lengths[start:start + batch_size]
+        width = rows.max() if m.config.global_pool else None
+        batch = set(ids[start:start + batch_size, :width].ravel().tolist())
+        if len(run | batch) > cap:
+            want.append(len(run))
+            run = set()
+        run |= batch
+    want.append(len(run))
+    sizes, buffers, build = [], set(), T.tap_table
+
+    def counted(rows, f, out):
+        sizes.append(len(rows))
+        buffers.add((id(out), out.shape[1]))
+        return build(rows, f, out)
+
+    monkeypatch.setattr(T, "tap_table", counted)
+    predict(m, data, batch_size)
+    assert sizes == want
+    assert len(sizes) >= 2 and max(sizes) <= cap
+    # every chunk's table is written into one buffer of at most cap rows
+    ((_, rows),) = buffers
+    assert max(sizes) <= rows <= cap
+
+
+def test_predict_checks_ids_before_keying():
+    # id -1 under HIN keys to -1 + 16 * 2, the key of id 15 under ENG (codes:
+    # zero row 0, ENG 1, HIN 2), so only a check of the ids themselves sees it
+    m = HCMSModel(tiny_config(lang_features=True), seed=0)
+    data = [([15], np.eye(4)[[1]], 0), ([-1], np.eye(4)[[0]], 0)]
+    with pytest.raises(VocabularyError):
+        predict(m, data, 2)
 
 
 # ---------------------------------------------------------------------------
