@@ -49,6 +49,11 @@ NOTES = [
     "per chunk: the embedding then gathers each chunk's distinct rows once, "
     "from a 1-D id array. On predict-default layers.embedding.fwd_us_per_ex is "
     "a per-chunk time; do not compare either workload's across that change.",
+    "layers.embedding.fwd_examples counts one per training step too since a "
+    "training forward gathers only its batch's distinct conv input rows, from "
+    "a 1-D id array, and builds no [B, u, d] embedding output. On "
+    "train-default layers.embedding.fwd_us_per_ex is then a per-step time "
+    "(per chunk in the validation passes); do not compare it across that change.",
 ]
 
 

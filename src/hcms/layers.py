@@ -4,10 +4,11 @@ dense softmax head, and the full classifier that composes them.
 Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. A forward keeps what its backward needs in the layer's
 _cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
-the conv block its pooled output and the batch layout that
-tensor.distinct_rows builds once per forward), and the backward takes the
-cache and releases it, so each backward needs a fresh forward and a model
-is single-writer during training. Gradients accumulate into Parameter.grad,
+the conv block its pooled output and the batch layout, which HCMSModel
+builds once per forward from the embedding's distinct rows, with no
+[B, L, d] embedding output), and the backward takes the cache and releases
+it, so each backward needs a fresh forward and a model is single-writer
+during training. Gradients accumulate into Parameter.grad,
 summed over the batch. Layers hold no init code: HCMSModel allocates one
 store, binds each ModelConfig.param_shapes() name (conv.filters is
 ConvBlock.filters) to a Parameter viewing it, then draws it by
@@ -163,12 +164,11 @@ class EmbeddingLayer:
     def forward(self, ids):
         return self.table.value[self.check(ids)]
 
-    def backward(self, dK, keys):
-        """dK [n, dim] is the gradient at the distinct keys [n] of a forward's
-        positions (see HCMSModel.forward), and key % vocab_size is the token
-        id. Sums dK by id and adds each sum to its table row once; PAD gets
-        no gradient."""
-        ids, sums = T.group_sum(keys % self.table.shape[0], dK)
+    def backward(self, dK, ids):
+        """dK [n, dim] is the gradient at n rows of a forward's conv input and
+        ids [n] their token ids (see HCMSModel.forward). Sums dK by id and
+        adds each sum to its table row once; PAD gets no gradient."""
+        ids, sums = T.group_sum(ids, dK)
         first = ids.searchsorted(1)  # PAD sorts first
         self.table.grad[ids[first:]] += sums[first:]
 
@@ -188,19 +188,17 @@ class ConvBlock:
     _conv_len = ModelConfig._conv_len
     out_len = ModelConfig.out_len
 
-    def forward(self, X, lengths=None, keys=None, table=None):
+    def forward(self, X, lengths=None, layout=None, taps=None):
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
-        -inf before the max, so padding never wins it. keys [B, u], if given,
-        name equal rows of X (see tensor.distinct_rows). table, if given, is
-        (taps, inv): a tensor.tap_table built over a wider scope than the
-        batch and the batch's [B, u] index map into it, and X is read for its
-        shape alone (HCMSModel.predict_table)."""
-        if table is None:
-            layout, taps = T.distinct_rows(X, keys), None
-        else:
-            taps, inv = table
-            layout = None, inv, None
+        -inf before the max, so padding never wins it. layout, if given, is
+        tensor.conv1d's (rows, inv, row_ids) of X's rows (HCMSModel.forward
+        builds it), and X is read for its shape alone; without one, each
+        position of X is its own row (tensor.distinct_rows). taps, if given,
+        is the tap table of the rows inv names, built over a wider scope than
+        the batch (HCMSModel.predict_table), and the layout's rows are not read."""
+        if layout is None:
+            layout = T.distinct_rows(X)
         R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
                             layout, taps))
         if self.global_pool:
@@ -211,14 +209,13 @@ class ConvBlock:
         else:
             pool, stride = self.pool, self.pool_stride
         C = T.maxpool1d(R, pool, stride)
-        # the backward reads X's shape alone (layout holds X's rows): no copy kept
-        self._cache = (np.broadcast_to(0.0, X.shape), R, C, pool, stride, layout)
+        self._cache = (X, R, C, pool, stride, layout)
         return C
 
     def backward(self, dC):
-        """Returns (dX, keys). After a keyed forward, dX holds one row per
-        distinct key and keys are those keys, sorted (see tensor.conv1d_backward);
-        otherwise dX has X's shape and keys is None."""
+        """Returns (dX, row_ids). After a forward given a layout, dX holds one
+        row per layout row and row_ids are the layout's (see
+        tensor.conv1d_backward); otherwise dX has X's shape and row_ids is None."""
         X, R, C, pool, stride, layout = _take_cache(self)
         dR = T.maxpool1d_backward(dC, R, pool, stride, C)
         dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
@@ -383,45 +380,50 @@ class HCMSModel:
         """
         if np.ndim(ids) == 1:
             return self.forward(*self.fit_batch([(ids, lang)]))[0]
-        X = self.embedding.forward(ids)  # checks the ids for keys
-        keys = self.keys(ids, lang)
-        if lang is not None:
-            X = np.concatenate([X, lang], axis=-1)
-        C = self.conv.forward(X, lengths, keys)
-        del X  # freed before the attention allocates its [B, v, v, hidden] tensor
-        return self._classify(C)
+        first, inv = self.key(ids, lang)
+        rows, row_ids = self.conv_rows(ids, lang, first)
+        return self._classify((rows, inv, row_ids), lengths)
 
-    def _classify(self, C):
-        """Class probabilities from the conv block's output C [B, v', f]."""
+    def key(self, ids, lang=None):
+        """(first, inv) of a batch (or a padded corpus) in fit_batch's layout,
+        from one np.unique over its keys: first [n] is the flat position where
+        each distinct row of the conv input [embedding, lang] first occurs, in
+        key order, and inv [B, L] is each position's row. A key is the token
+        id, plus vocab_size times a code for the position's distinct language
+        row under lang_features (one np.unique over lang's rows), so the keys
+        stay exact for any lang array. The ids are checked first
+        (EmbeddingLayer.check): the key of one outside the table can equal
+        another id's."""
+        keys = self.embedding.check(ids)
+        if lang is not None:
+            _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
+                                return_inverse=True)
+            keys = keys + self.config.vocab_size * code.reshape(keys.shape)
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        return first, inv.reshape(keys.shape)
+
+    def conv_rows(self, ids, lang, at):
+        """(rows [n, d], their token ids [n]): the conv input's rows
+        [embedding, lang] at flat positions at of a batch (or a padded
+        corpus) in fit_batch's layout, gathered from the embedding table one
+        row per position, without building the [B, L, d] input."""
+        row_ids = np.ravel(ids)[at]
+        rows = self.embedding.forward(row_ids)
+        if lang is not None:
+            rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
+        return rows, row_ids
+
+    def _classify(self, layout, lengths, taps=None):
+        """Class probabilities from a conv input layout (ConvBlock.forward's
+        layout and taps); the conv block's [B, u, d] input is a zero-stride
+        stand-in for its shape."""
+        X = np.broadcast_to(0.0, layout[1].shape + self.conv.filters.shape[2:])
+        C = self.conv.forward(X, lengths, layout, taps)
         if self.attention is not None:
             G = self.attention.forward(C)
         else:
             G = C.reshape(C.shape[0], -1)
         return self.head.forward(G)
-
-    def keys(self, ids, lang=None):
-        """Keys [B, L] of a batch (or a padded corpus) in fit_batch's layout:
-        equal keys name equal rows of the conv input [X, lang], and
-        key % vocab_size is the token id. Under lang_features each id is
-        combined with a code for its distinct language row, from one
-        np.unique over lang's rows, so the keys stay exact for any lang array.
-        The ids must be in the embedding table's range (EmbeddingLayer.check):
-        the key of one outside it can equal another id's."""
-        keys = np.asarray(ids, dtype=np.int64)
-        if lang is None:
-            return keys
-        _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0, return_inverse=True)
-        return keys + self.config.vocab_size * code.reshape(keys.shape)
-
-    def tap_table(self, ids, lang, at, out=None):
-        """tensor.tap_table of the conv input's rows [X, lang] at flat
-        positions at of a batch (or a padded corpus) in fit_batch's layout,
-        gathered from the embedding table without building X, and written
-        into out if given."""
-        rows = self.embedding.forward(ids.reshape(-1)[at])
-        if lang is not None:
-            rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
-        return T.tap_table(rows, self.conv.filters.value, out)
 
     def backward(self, dlogits):
         """Backward from the gradient at the pre-softmax logits, [B, n_classes]
@@ -431,8 +433,8 @@ class HCMSModel:
             dC = self.attention.backward(dG)
         else:
             dC = dG.reshape(dG.shape[0], -1, self.config.filters)
-        dK, keys = self.conv.backward(dC)
-        self.embedding.backward(dK[:, :self.config.embed_dim], keys)
+        dK, row_ids = self.conv.backward(dC)
+        self.embedding.backward(dK[:, :self.config.embed_dim], row_ids)
 
     def predict(self, ids, lang=None, lengths=None):
         """Argmax class: [B] for a batch, one int for one id sequence.
@@ -445,11 +447,9 @@ class HCMSModel:
     def predict_table(self, taps, inv, lengths=None):
         """predict for a batch whose conv tap table was built over a wider
         scope (train.predict builds one per chunk of batches): taps [k, n, f]
-        is tap_table over n distinct rows and inv [B, u] maps each position to
-        its row. No embedding gather; the conv block gets a zero-stride
-        stand-in for its [B, u, d] input."""
-        X = np.broadcast_to(0.0, inv.shape + self.conv.filters.shape[2:])
-        return self._labels(self._classify(self.conv.forward(X, lengths, table=(taps, inv))))
+        is tensor.tap_table over n distinct rows and inv [B, u] maps each
+        position to its row. No embedding gather."""
+        return self._labels(self._classify((None, inv, None), lengths, taps))
 
     def _labels(self, probs):
         labels = np.argmax(probs, axis=-1)

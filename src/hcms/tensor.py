@@ -44,11 +44,14 @@ class Parameter:
 #
 # conv1d: input [..., u, d], filters [f, k, d], bias [f] -> output [..., v, f]
 #
-# One layout serves both directions: distinct_rows(x, keys) gives the distinct
+# One layout serves both directions: (rows, inv, row_ids) holds the distinct
 # input rows [n, d], an index map inv [examples, u] from each position to its
-# row and the sorted distinct keys. keys [..., u] say which rows are equal
-# (equal keys promise equal rows, as equal token ids do), so a row that
-# repeats, PAD above all, is one row; without keys each position is its own.
+# row, and the token id of each row. The model builds it, for training and
+# predict alike (HCMSModel.forward): one np.unique over keys that name equal
+# rows gives each distinct row's first position, and the rows are gathered
+# from the embedding there, so a row that repeats, PAD above all, is one row.
+# distinct_rows(x) is the unkeyed layout of a real input, each position its
+# own row and no row ids; conv1d and conv1d_backward build it when given none.
 #
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
@@ -71,15 +74,11 @@ def _strided(v, stride, start=0):
     return slice(start, start + stride * (v - 1) + 1, stride)
 
 
-def distinct_rows(x, keys=None):
-    """(rows, inv, distinct): the layout of x [..., u, d] under keys, as
-    above; distinct is None without keys."""
+def distinct_rows(x):
+    """The unkeyed layout of x [..., u, d], as above: every position its own row."""
     u, d = x.shape[-2:]
     rows = x.reshape(-1, d)
-    if keys is None:
-        return rows, np.arange(len(rows)).reshape(-1, u), None
-    distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inv.reshape(-1, u), distinct
+    return rows, np.arange(len(rows)).reshape(-1, u), None
 
 
 def group_sum(keys, values):
@@ -127,19 +126,19 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
 
 
 def conv1d_backward(dout, x, filters, stride=1, layout=None):
-    """Returns (dx, dfilters, dbias) for conv1d. After a keyed layout, dx
-    [n, d] holds one row per distinct key, in sorted key order: the summed
-    gradient of the positions sharing that key. Otherwise dx has x's shape."""
+    """Returns (dx, dfilters, dbias) for conv1d. After a layout with row ids,
+    dx [n, d] holds one row per layout row, in the layout's order: the summed
+    gradient of the positions that read it. Otherwise dx has x's shape."""
     dout, x = as_tensor(dout), as_tensor(x)
     f, k, d = filters.shape
-    rows, inv, keys = layout or distinct_rows(x)
+    rows, inv, row_ids = layout or distinct_rows(x)
     g = dout.reshape(-1, f)
     dx, dfilters = np.zeros((len(rows), d)), np.empty(filters.shape)
     for j in range(k):
         read, sums = group_sum(inv[:, _strided(dout.shape[-2], stride, j)], g)
         dfilters[:, j] = sums.T @ rows[read]
         dx[read] += sums @ filters[:, j]
-    return (dx.reshape(x.shape) if keys is None else dx), dfilters, g.sum(axis=0)
+    return (dx.reshape(x.shape) if row_ids is None else dx), dfilters, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +168,11 @@ def maxpool1d(x, pool, stride):
     return out
 
 
-def maxpool1d_backward(dout, x, pool, stride, out=None):
+def maxpool1d_backward(dout, x, pool, stride, out):
     """dx for maxpool1d: each window's gradient goes to the first offset
     that holds its maximum, read off out = maxpool1d(x, pool, stride) (the
-    forward's result; computed here when not given). Overlapping windows add
-    their shares offset by offset."""
+    forward's result). Overlapping windows add their shares offset by offset."""
     dout = as_tensor(dout)
-    if out is None:
-        out = maxpool1d(x, pool, stride)
     vp = out.shape[-2]
     dx = np.zeros_like(x)
     todo = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet found

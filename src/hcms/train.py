@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .corpus import CleaningConfig
 from .layers import ConfigError, HCMSModel, ModelConfig, check_field_types
 from .metrics import score
@@ -195,18 +196,18 @@ def _chunks(batches, n_rows, cap):
 def predict(model, data, batch_size):
     """Predicted labels over encoded examples, run batch_size at a time (which
     bounds the attention layer's [B, v, v, hidden] tensor). The input is
-    padded once and keyed once: one np.unique over all its keys gives its
-    distinct conv input rows and each position's row. The conv tap table is
-    built once per chunk, a run of consecutive batches whose distinct rows fit
-    in batch_size * L (L the padded length), the most one batch's table could
-    hold; each batch gathers from it by its own slice of the index map. Every
-    chunk's table is written into one buffer that lives through the call, so
-    the memory peak is that buffer plus one batch's attention tensor."""
+    padded once and keyed once (HCMSModel.key, as a training step keys its
+    batch), which gives its distinct conv input rows and each position's
+    row. The conv tap table is built once per chunk, a run of consecutive
+    batches whose distinct rows fit in batch_size * L (L the padded length),
+    the most one batch's table could hold, over the chunk's rows gathered
+    from the embedding (HCMSModel.conv_rows); each batch gathers from it by
+    its own slice of the index map. Every chunk's table is written into one
+    buffer that lives through the call, so the memory peak is that buffer
+    plus one batch's attention tensor."""
     ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
-    _, first, inv = np.unique(model.keys(model.embedding.check(ids), lang),
-                              return_index=True, return_inverse=True)
-    batches = _batches(model, (inv.reshape(ids.shape), None, lengths),
-                       np.arange(len(data)), batch_size)
+    first, inv = model.key(ids, lang)
+    batches = _batches(model, (inv, None, lengths), np.arange(len(data)), batch_size)
     cap = batch_size * ids.shape[1]
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
@@ -214,7 +215,8 @@ def predict(model, data, batch_size):
     table = np.empty((k, min(len(first), cap), f))
     labels, table_row = [], np.empty(len(first), dtype=np.int64)
     for rows, run in _chunks(batches, len(first), cap):
-        taps = model.tap_table(ids, lang, first[rows], table)
+        chunk_rows, _ = model.conv_rows(ids, lang, first[rows])
+        taps = T.tap_table(chunk_rows, model.conv.filters.value, table)
         table_row[rows] = np.arange(len(rows))  # each distinct row's row in taps
         for _, (row_of, _, batch_lengths) in run:
             labels += model.predict_table(taps, table_row[row_of], batch_lengths).tolist()

@@ -9,7 +9,8 @@ library op and these in one namespace. maxpool1d_backward_where is the
 pool backward that finds each window's argmax again, kept as the oracle of
 the library's, which reads it off the pooled output. conv1d and
 conv1d_backward take raw keys here, as the tests' oracles are written, and
-build the layout the library ops take. make_layer builds one model layer on
+build the layout the library ops take with np.unique (keyed_layout), as
+HCMSModel does from its keys. make_layer builds one model layer on
 its own, its parameters drawn by the model's init table.
 """
 
@@ -55,15 +56,26 @@ def make_layer(layer, dims, rng):
 # ---------------------------------------------------------------------------
 # conv1d with raw keys
 
+def keyed_layout(x, keys=None):
+    """tensor.conv1d's layout of x [..., u, d] under keys [..., u], which say
+    which rows are equal: the distinct rows in sorted key order, each
+    position's row and the sorted distinct keys as the rows' ids. Without
+    keys, the unkeyed layout (tensor.distinct_rows)."""
+    if keys is None:
+        return tensor.distinct_rows(x)
+    u, d = x.shape[-2:]
+    distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return x.reshape(-1, d)[first], inv.reshape(-1, u), distinct
+
+
 def conv1d(x, filters, bias, stride=1, keys=None):
     x = as_tensor(x)
-    return tensor.conv1d(x, filters, bias, stride, tensor.distinct_rows(x, keys))
+    return tensor.conv1d(x, filters, bias, stride, keyed_layout(x, keys))
 
 
 def conv1d_backward(dout, x, filters, stride=1, keys=None):
     x = as_tensor(x)
-    return tensor.conv1d_backward(dout, x, filters, stride,
-                                  tensor.distinct_rows(x, keys))
+    return tensor.conv1d_backward(dout, x, filters, stride, keyed_layout(x, keys))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_gradient_suite():
                      central_diff(lambda a_: float((T.softmax(a_) * w).sum()), x, h))
         xm = rng.uniform(-2, 2, size=(6, 2))
         wm = rng.uniform(-1, 1, size=(3, 2))
-        assert_close(T.maxpool1d_backward(wm, xm, 2, 2),
+        assert_close(T.maxpool1d_backward(wm, xm, 2, 2, T.maxpool1d(xm, 2, 2)),
                      central_diff(lambda a_: float((T.maxpool1d(a_, 2, 2) * wm).sum()), xm, h))
 
     # attention layer parameter + input gradients

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -68,8 +66,9 @@ def test_embed_backward_skips_pad(rng):
 
 
 def test_embed_backward_matches_scatter(rng):
-    # reference: one np.add.at scatter of every non-PAD row; the keys carry
-    # a code above the ids, as HCMSModel's do under lang_features
+    # reference: one np.add.at scatter of every non-PAD row; the rows are
+    # summed by keys that carry a code above the ids, as HCMSModel's do under
+    # lang_features, so an id has several rows
     layer = make_layer(EmbeddingLayer(), (6, 3), rng)
     ids = rng.integers(0, 6, size=(4, 9))
     dX = rng.uniform(-1, 1, size=(4, 9, 3))
@@ -77,7 +76,7 @@ def test_embed_backward_matches_scatter(rng):
     np.add.at(want, ids[ids != 0], dX[ids != 0])
     keys, dK = T.group_sum(ids + 6 * rng.integers(0, 3, size=ids.shape),
                            dX.reshape(-1, 3))
-    layer.backward(dK, keys)
+    layer.backward(dK, keys % 6)
     assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
     keys, dK = T.group_sum(np.zeros(10, dtype=np.int64), dX[:2, :5].reshape(-1, 3))
     layer.backward(dK, keys)  # all PAD: no gradient
@@ -404,17 +403,18 @@ def test_caches_released_after_backward_and_predict(rng):
     assert all(layer._cache is None for layer in layers)
 
 
-def test_forward_frees_the_conv_input(rng, monkeypatch):
-    # the conv backward reads only its input's shape, so no [B, u, d]
-    # embedding output outlives the conv, and the backward still runs
-    m = HCMSModel(tiny_config(), seed=5)
-    refs, embed = [], m.embedding.forward
+def test_step_gathers_only_distinct_rows(rng, monkeypatch):
+    # no [B, u, d] embedding output: a training step gathers each distinct
+    # (id, lang row) of its batch once, from one 1-D id array
+    m = HCMSModel(tiny_config(lang_features=True), seed=5)
+    gathers, embed = [], m.embedding.forward
     monkeypatch.setattr(m.embedding, "forward",
-                        lambda ids: refs.append(weakref.ref(X := embed(ids))) or X)
+                        lambda ids: gathers.append(np.shape(ids)) or embed(ids))
     examples, Y = _ragged_batch(rng, m.config)
-    P = m.forward(*m.fit_batch(examples))
-    assert refs[0]() is None
-    m.backward(cross_entropy_softmax_grad(Y, P))
+    ids, lang, lengths = m.fit_batch(examples)
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(ids, lang, lengths)))
+    distinct = set(zip(ids.ravel().tolist(), map(tuple, lang.reshape(-1, 4).tolist())))
+    assert gathers == [(len(distinct),)]
     assert np.abs(m.embedding.table.grad).max() > 0
 
 
@@ -513,11 +513,29 @@ def test_keyed_backward_matches_unkeyed(rng, overrides):
         assert_close(keyed[name], p.grad, rtol=0, atol=1e-12)
 
 
-def test_one_layout_per_step(rng, monkeypatch):
-    calls = []
-    build = T.distinct_rows
-    monkeypatch.setattr(T, "distinct_rows", lambda *a: calls.append(1) or build(*a))
+def test_one_keying_per_step(rng, monkeypatch):
+    # the model keys its batch once, and no unkeyed layout is built
     m = HCMSModel(tiny_config(lang_features=True), seed=6)
+    keyings, layouts, key, build = [], [], m.key, T.distinct_rows
+    monkeypatch.setattr(m, "key", lambda *a: keyings.append(1) or key(*a))
+    monkeypatch.setattr(T, "distinct_rows", lambda *a: layouts.append(1) or build(*a))
     examples, Y = _ragged_batch(rng, m.config)
     m.backward(cross_entropy_softmax_grad(Y, m.forward(*m.fit_batch(examples))))
-    assert len(calls) == 1
+    assert (len(keyings), len(layouts)) == (1, 0)
+
+
+def test_forward_checks_ids_before_keying():
+    # the training step's twin of test_predict_checks_ids_before_keying: id -1
+    # under HIN keys to -1 + 16 * 2, the key of id 15 under ENG (codes: zero
+    # row 0, ENG 1, HIN 2), so only a check of the ids themselves sees it
+    m = HCMSModel(tiny_config(vocab_size=16, lang_features=True), seed=0)
+    good = m.fit_batch([([15], np.eye(4)[[1]]), ([3], np.eye(4)[[0]])])
+    Y = np.eye(3)[[0, 1]]
+    m.backward(cross_entropy_softmax_grad(Y, m.forward(*good)))
+    grads = m.store.grad.copy()
+    bad = m.fit_batch([([15], np.eye(4)[[1]]), ([-1], np.eye(4)[[0]])])
+    with pytest.raises(VocabularyError):
+        m.forward(*bad)
+    with pytest.raises(NoForwardError):  # the failed forward left nothing to backward
+        m.backward(cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3)))
+    assert m.store.grad.tobytes() == grads.tobytes()
