@@ -54,6 +54,10 @@ NOTES = [
     "a 1-D id array, and builds no [B, u, d] embedding output. On "
     "train-default layers.embedding.fwd_us_per_ex is then a per-step time "
     "(per chunk in the validation passes); do not compare it across that change.",
+    "train.evaluate_ms on train-default no longer includes padding and keying "
+    "the validation set since train prepares each corpus once (train.prepare, "
+    "at the top of train): each validation pass only builds its tap table and "
+    "runs the batches. Compare it across that change with this in mind.",
 ]
 
 

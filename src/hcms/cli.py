@@ -22,9 +22,9 @@ from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
                      read_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
-from .train import (CheckpointError, DataError,
-                    DivergenceError, OptimizerConfig, TrainConfig, evaluate,
-                    format_epoch, load_checkpoint, predict, save_checkpoint, train)
+from .train import (CheckpointError, DataError, DivergenceError, OptimizerConfig,
+                    TrainConfig, evaluate, format_epoch, load_checkpoint, predict,
+                    prepare, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -126,7 +126,7 @@ def _load_corpus(path, strict=False):
     return read_conll_file(p, strict=strict)
 
 
-def _prepare(path, cleaning):
+def _cleaned(path, cleaning):
     """The cleaned labeled records of a corpus file; DataError if none."""
     records = [r for r in _load_corpus(path)[0] if r.label is not None]
     if not (cleaned := clean_corpus(records, cleaning)[0]):
@@ -166,8 +166,8 @@ def cmd_preprocess(args, cfg, out):
 
 def _train_once(cfg, train_path, val_path, out_dir=None):
     cleaning, tcfg, ocfg = _split_configs(cfg)
-    train_recs = _prepare(train_path, cleaning)
-    val_recs = _prepare(val_path, cleaning) if val_path else []
+    train_recs = _cleaned(train_path, cleaning)
+    val_recs = _cleaned(val_path, cleaning) if val_path else []
     vocab = build_vocab(train_recs, min_count=1)
     mcfg = _model_config(cfg, len(vocab))
     train_data = encode_corpus(train_recs, vocab, mcfg.lang_features)
@@ -198,7 +198,8 @@ def _load_for_inference(checkpoint):
 def _score_file(inference, path, cfg):
     """metrics.score of (model, vocab, cleaning)'s labels for a corpus file."""
     model, vocab, cleaning = inference
-    data = encode_corpus(_prepare(path, cleaning), vocab, model.config.lang_features)
+    data = prepare(model, encode_corpus(_cleaned(path, cleaning), vocab,
+                                        model.config.lang_features))
     return score(*evaluate(model, data, cfg["batch_size"]), model.config.n_classes)
 
 
@@ -218,7 +219,7 @@ def cmd_predict(args, cfg, out):
         data.append(([UNK], None) if (cleaned := clean(rec, cleaning, memo)) is None
                     else encode(cleaned, vocab, model.config.lang_features))
     del memo
-    preds = predict(model, data, cfg["batch_size"])
+    preds = predict(model, prepare(model, data), cfg["batch_size"])
     text = "".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds))
     (out / "predictions.tsv").write_text(text, encoding="utf-8")
 

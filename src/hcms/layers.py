@@ -4,8 +4,8 @@ dense softmax head, and the full classifier that composes them.
 Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. A forward keeps what its backward needs in the layer's
 _cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
-the conv block its pooled output and the batch layout, which HCMSModel
-builds once per forward from the embedding's distinct rows, with no
+the conv block its pooled output and the batch layout of the embedding's
+distinct rows, keyed by HCMSModel.key once per corpus or batch, with no
 [B, L, d] embedding output), and the backward takes the cache and releases
 it, so each backward needs a fresh forward and a model is single-writer
 during training. Gradients accumulate into Parameter.grad,
@@ -166,7 +166,7 @@ class EmbeddingLayer:
 
     def backward(self, dK, ids):
         """dK [n, dim] is the gradient at n rows of a forward's conv input and
-        ids [n] their token ids (see HCMSModel.forward). Sums dK by id and
+        ids [n] their token ids (see HCMSModel.conv_rows). Sums dK by id and
         adds each sum to its table row once; PAD gets no gradient."""
         ids, sums = T.group_sum(ids, dK)
         first = ids.searchsorted(1)  # PAD sorts first
@@ -192,11 +192,11 @@ class ConvBlock:
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
         -inf before the max, so padding never wins it. layout, if given, is
-        tensor.conv1d's (rows, inv, row_ids) of X's rows (HCMSModel.forward
-        builds it), and X is read for its shape alone; without one, each
+        tensor.conv1d's (rows, inv, row_ids) of X's rows (HCMSModel.classify
+        gets it), and X is read for its shape alone; without one, each
         position of X is its own row (tensor.distinct_rows). taps, if given,
         is the tap table of the rows inv names, built over a wider scope than
-        the batch (HCMSModel.predict_table), and the layout's rows are not read."""
+        the batch (train.predict), and the layout's rows are not read."""
         if layout is None:
             layout = T.distinct_rows(X)
         R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
@@ -313,7 +313,8 @@ class DenseHead:
 
 class HCMSModel:
     """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
-    one minibatch in fit_batch's layout per forward and backward."""
+    one minibatch per classify and backward, as a conv input layout from key
+    (once per corpus: train.prepare) and conv_rows; forward does all three."""
 
     def __init__(self, config: ModelConfig, seed=0, values=None):
         """values, if given, is adopted as the store's flat value array (a
@@ -348,7 +349,7 @@ class HCMSModel:
     def fit_batch(self, examples):
         """Right-pad with PAD (or truncate) (token_ids, lang_onehot_or_None)
         pairs into one batch: ids [B, L], lang [B, L, 4] (None without
-        lang_features) and lengths [B]. train and predict pad a whole corpus.
+        lang_features) and lengths [B]. train.prepare pads a whole corpus.
 
         With windowed pooling the head needs a fixed width, so L is max_len.
         With global pooling the head width is length-independent: L is the
@@ -382,7 +383,7 @@ class HCMSModel:
             return self.forward(*self.fit_batch([(ids, lang)]))[0]
         first, inv = self.key(ids, lang)
         rows, row_ids = self.conv_rows(ids, lang, first)
-        return self._classify((rows, inv, row_ids), lengths)
+        return self.classify((rows, inv, row_ids), lengths)
 
     def key(self, ids, lang=None):
         """(first, inv) of a batch (or a padded corpus) in fit_batch's layout,
@@ -413,10 +414,10 @@ class HCMSModel:
             rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
         return rows, row_ids
 
-    def _classify(self, layout, lengths, taps=None):
-        """Class probabilities from a conv input layout (ConvBlock.forward's
-        layout and taps); the conv block's [B, u, d] input is a zero-stride
-        stand-in for its shape."""
+    def classify(self, layout, lengths, taps=None):
+        """Class probabilities [B, n_classes] from a batch's conv input layout
+        (ConvBlock.forward's layout and taps); the conv block's [B, u, d]
+        input is a zero-stride stand-in for its shape."""
         X = np.broadcast_to(0.0, layout[1].shape + self.conv.filters.shape[2:])
         C = self.conv.forward(X, lengths, layout, taps)
         if self.attention is not None:
@@ -443,13 +444,6 @@ class HCMSModel:
         dropped rather than held until the next forward.
         """
         return self._labels(self.forward(ids, lang, lengths))
-
-    def predict_table(self, taps, inv, lengths=None):
-        """predict for a batch whose conv tap table was built over a wider
-        scope (train.predict builds one per chunk of batches): taps [k, n, f]
-        is tensor.tap_table over n distinct rows and inv [B, u] maps each
-        position to its row. No embedding gather."""
-        return self._labels(self._classify((None, inv, None), lengths, taps))
 
     def _labels(self, probs):
         labels = np.argmax(probs, axis=-1)

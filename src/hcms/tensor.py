@@ -47,9 +47,9 @@ class Parameter:
 # One layout serves both directions: (rows, inv, row_ids) holds the distinct
 # input rows [n, d], an index map inv [examples, u] from each position to its
 # row, and the token id of each row. The model builds it, for training and
-# predict alike (HCMSModel.forward): one np.unique over keys that name equal
-# rows gives each distinct row's first position, and the rows are gathered
-# from the embedding there, so a row that repeats, PAD above all, is one row.
+# predict alike: one np.unique per corpus (HCMSModel.key) over keys that name
+# equal rows gives each distinct row's first position, and a batch's rows are
+# gathered from the embedding there, so a row that repeats is one row.
 # distinct_rows(x) is the unkeyed layout of a real input, each position its
 # own row and no row ids; conv1d and conv1d_backward build it when given none.
 #

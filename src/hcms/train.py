@@ -22,6 +22,7 @@ import json
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,68 +165,69 @@ def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
         g.fill(0.0)
 
 
-def _batches(model, padded, order, batch_size):
-    """(idx, (ids, lang, lengths)) per batch_size run of order, gathered from a
-    corpus fit_batch padded once; under global_pool, cut to the batch's longest row."""
-    ids, lang, lengths = padded
+# A corpus padded and keyed once (prepare): fit_batch's ids [N, L], lang and
+# lengths [N], HCMSModel.key's (first, inv) over them, and each example's label.
+Corpus = namedtuple("Corpus", "ids lang lengths first inv labels")
+
+
+def prepare(model, data):
+    """The Corpus of encoded (token_ids, lang_onehot_or_None[, label_index])
+    examples that train, evaluate and predict batch from; keying checks the
+    ids, so a bad one raises VocabularyError before any batch runs."""
+    ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
+    return Corpus(ids, lang, lengths, *model.key(ids, lang),
+                  [ex[2] if len(ex) > 2 else None for ex in data])
+
+
+def _chunks(model, corpus, order, batch_size, cap):
+    """(rows, row_ids, [(idx, inv, lengths), ...]) per run of batches of order
+    whose distinct conv input rows fit in cap (at cap 0, one batch a run). As
+    corpus rows are in key order, inv is what HCMSModel.key gives the batch
+    alone; under global_pool a batch is cut to its longest row."""
+    used, run = np.zeros(len(corpus.first), dtype=bool), []
+
+    def gathered():
+        rows = np.flatnonzero(used)
+        return (*model.conv_rows(corpus.ids, corpus.lang, corpus.first[rows]),
+                [(idx, rows.searchsorted(inv), lengths) for idx, inv, lengths in run])
+
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        rows = idx, slice(lengths[idx].max() if model.config.global_pool else None)
-        yield idx, (ids[rows], lang if lang is None else lang[rows], lengths[idx])
-
-
-def _chunks(batches, n_rows, cap):
-    """(rows, run) per run of consecutive batches of _batches over an index map
-    into n_rows distinct rows: the run's distinct rows, sorted, fit in cap,
-    and the next batch's would not."""
-    used, count, run = np.zeros(n_rows, dtype=bool), 0, []
-    for batch in batches:
-        rows = np.unique(batch[1][0])
+        width = corpus.lengths[idx].max() if model.config.global_pool else None
+        inv = corpus.inv[idx, :width]
+        rows = np.unique(inv)
         fresh = rows[~used[rows]]
-        if count + fresh.size > cap:
-            yield np.flatnonzero(used), run
+        if run and np.count_nonzero(used) + fresh.size > cap:
+            yield gathered()
             used[:] = False
-            count, run, fresh = 0, [], rows
+            run, fresh = [], rows
         used[fresh] = True
-        count += fresh.size
-        run.append(batch)
+        run.append((idx, inv, corpus.lengths[idx]))
     if run:
-        yield np.flatnonzero(used), run
+        yield gathered()
 
 
-def predict(model, data, batch_size):
-    """Predicted labels over encoded examples, run batch_size at a time (which
-    bounds the attention layer's [B, v, v, hidden] tensor). The input is
-    padded once and keyed once (HCMSModel.key, as a training step keys its
-    batch), which gives its distinct conv input rows and each position's
-    row. The conv tap table is built once per chunk, a run of consecutive
-    batches whose distinct rows fit in batch_size * L (L the padded length),
-    the most one batch's table could hold, over the chunk's rows gathered
-    from the embedding (HCMSModel.conv_rows); each batch gathers from it by
-    its own slice of the index map. Every chunk's table is written into one
-    buffer that lives through the call, so the memory peak is that buffer
-    plus one batch's attention tensor."""
-    ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
-    first, inv = model.key(ids, lang)
-    batches = _batches(model, (inv, None, lengths), np.arange(len(data)), batch_size)
-    cap = batch_size * ids.shape[1]
+def predict(model, corpus, batch_size):
+    """Predicted labels over a Corpus, run batch_size at a time (which bounds
+    the attention's [B, v, v, hidden] tensor), with one conv tap table per
+    chunk of batches whose distinct rows fit in batch_size * L (L the padded
+    length), the most one batch's table holds, all in one buffer."""
+    cap = batch_size * corpus.ids.shape[1]
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
     # chunk fragment the heap, which then keeps freed tables resident
-    table = np.empty((k, min(len(first), cap), f))
-    labels, table_row = [], np.empty(len(first), dtype=np.int64)
-    for rows, run in _chunks(batches, len(first), cap):
-        chunk_rows, _ = model.conv_rows(ids, lang, first[rows])
-        taps = T.tap_table(chunk_rows, model.conv.filters.value, table)
-        table_row[rows] = np.arange(len(rows))  # each distinct row's row in taps
-        for _, (row_of, _, batch_lengths) in run:
-            labels += model.predict_table(taps, table_row[row_of], batch_lengths).tolist()
+    table = np.empty((k, min(len(corpus.first), cap), f))
+    labels = []
+    for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.ids)), batch_size, cap):
+        taps = T.tap_table(rows, model.conv.filters.value, table)
+        for _, inv, lengths in run:  # no embedding gather per batch
+            labels += model._labels(model.classify((None, inv, None), lengths, taps)).tolist()
     return labels
 
 
-def evaluate(model, data, batch_size=TrainConfig.batch_size):
-    """Returns (true_labels, predicted_labels) over encoded examples."""
-    return [label for *_, label in data], predict(model, data, batch_size)
+def evaluate(model, corpus, batch_size=TrainConfig.batch_size):
+    """Returns (true_labels, predicted_labels) over a Corpus."""
+    return corpus.labels, predict(model, corpus, batch_size)
 
 
 def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
@@ -246,20 +248,22 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     labels = np.asarray([label for *_, label in [*train_data, *val_data]])
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
         raise DataError(f"labels must be class indices in [0, {n_classes})")
+    corpus = prepare(model, train_data)  # a bad id in either fails before any step
+    val = prepare(model, val_data) if val_data else None
     rng = np.random.default_rng(tcfg.seed)
     store, state = model.store, AdamState(model.store)
     best_f1, best_snapshot = -1.0, None
     log = []
     order = np.arange(len(train_data))
-    padded = model.fit_batch([ex[:2] for ex in train_data])  # once per run
     model.zero_grad()  # adam_step leaves every gradient zeroed after this
     for epoch in range(1, tcfg.epochs + 1):
         if tcfg.shuffle:
             rng.shuffle(order)
         total_loss = 0.0
-        for idx, batch in _batches(model, padded, order, tcfg.batch_size):
+        for rows, row_ids, ((idx, inv, lengths),) in _chunks(model, corpus, order,
+                                                              tcfg.batch_size, 0):
             y = np.eye(n_classes)[labels[idx]]
-            probs = model.forward(*batch)
+            probs = model.classify((rows, inv, row_ids), lengths)
             loss = cross_entropy(y, probs)
             if not np.isfinite(loss):
                 raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
@@ -268,8 +272,8 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
             model.backward(cross_entropy_softmax_grad(y, probs) / len(idx))
             adam_step(store, state, ocfg)
         entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
-        if val_data:
-            trues, preds = evaluate(model, val_data, tcfg.batch_size)
+        if val:
+            trues, preds = evaluate(model, val, tcfg.batch_size)
             report = score(trues, preds, n_classes)
             entry["val_f1"] = report.weighted_f1
             entry["val_acc"] = report.accuracy

@@ -21,7 +21,8 @@ from synthetic import (load_mini_corpus, make_long_range_corpus,
                             make_mini_corpus)
 from hcms.train import (AdamState, OptimizerConfig, Parameter, TrainConfig,
                         adam_step, cross_entropy, cross_entropy_softmax_grad,
-                        evaluate, load_checkpoint, save_checkpoint, train)
+                        evaluate, load_checkpoint, prepare, save_checkpoint,
+                        train)
 from conftest import assert_close, central_diff
 from extra_ops import cross_entropy_backward, make_layer
 from test_corpus import _random_records
@@ -198,7 +199,7 @@ def test_overfit_bundled_corpus():
     for block in range(12):  # 12 x 25 = 300 epochs max
         train(model, data, [], TrainConfig(epochs=25, batch_size=32, seed=block),
               DEFAULT_OPT)
-        trues, preds = evaluate(model, data)
+        trues, preds = evaluate(model, prepare(model, data))
         acc = float(np.mean(np.array(trues) == np.array(preds)))
         if acc == 1.0:
             break

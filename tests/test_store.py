@@ -13,7 +13,7 @@ from hcms.tensor import Parameter
 from hcms.train import (_BLOCK, AdamState, OptimizerConfig, TrainConfig,
                         adam_step, cross_entropy,
                         cross_entropy_softmax_grad, evaluate, load_checkpoint,
-                        save_checkpoint, train)
+                        prepare, save_checkpoint, train)
 from test_train import VOCAB, tiny_config, tiny_data
 
 CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
@@ -171,7 +171,7 @@ def reference_train(model, train_data, val_data, tcfg, ocfg):
             for k, p in params.items():
                 reference_adam_step(p, states[k], ocfg)
         entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
-        trues, preds = evaluate(model, val_data, tcfg.batch_size)
+        trues, preds = evaluate(model, prepare(model, val_data), tcfg.batch_size)
         report = score(trues, preds, n_classes)
         entry["val_f1"] = report.weighted_f1
         entry["val_acc"] = report.accuracy

@@ -10,7 +10,8 @@ from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         LabelError,
                         OptimizerConfig, Parameter, TrainConfig, adam_step,
                         cross_entropy, cross_entropy_softmax_grad,
-                        _batches, load_checkpoint, predict, save_checkpoint, train)
+                        _chunks, load_checkpoint, predict, prepare, save_checkpoint,
+                        train)
 from conftest import assert_close
 from extra_ops import cross_entropy_backward
 
@@ -261,7 +262,7 @@ def test_padding_invariance_global_pool(rng):
 
 
 # ---------------------------------------------------------------------------
-# batches: one pad per corpus, one row gather per batch
+# batches: one pad and one keying per corpus, one row gather per batch
 
 GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
                   "global_pool": dict(global_pool=True, include_self=True)}
@@ -270,7 +271,8 @@ GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
 @pytest.mark.parametrize("overrides", GATHER_CONFIGS.values(), ids=GATHER_CONFIGS)
 def test_gathered_batches_match_fit_batch(rng, overrides):
     # lengths from 1 (below the kernel, 2) to 13 (past max_len, 8); one
-    # example has no lang rows, as predict's all-cleaned-away fallback
+    # example has no lang rows, as predict's all-cleaned-away fallback. At
+    # cap 0 each batch's layout is the one key and conv_rows give it alone.
     m = HCMSModel(tiny_config(**overrides), seed=0)
     lengths = [1, 1, 13, 2, 8, 9, *rng.integers(1, 14, size=17)]
     data = [(list(rng.integers(2, 16, size=n)),
@@ -278,30 +280,50 @@ def test_gathered_batches_match_fit_batch(rng, overrides):
              int(rng.integers(3))) for n in lengths]
     data[4] = (data[4][0], None, data[4][2])
     order = rng.permutation(len(data))
-    padded = m.fit_batch([ex[:2] for ex in data])
     seen = []
-    for idx, batch in _batches(m, padded, order, 5):
+    for rows, row_ids, ((idx, inv, batch_lengths),) in _chunks(m, prepare(m, data), order,
+                                                               5, 0):
         seen.extend(idx.tolist())
-        for got, want in zip(batch, m.fit_batch([data[i][:2] for i in idx]), strict=True):
-            if want is None:
-                assert got is None
-            else:
-                assert (got.dtype, got.shape) == (want.dtype, want.shape)
-                assert got.tobytes() == want.tobytes()
+        ids, lang, want_lengths = m.fit_batch([data[i][:2] for i in idx])
+        first, want_inv = m.key(ids, lang)
+        want = (*m.conv_rows(ids, lang, first), want_inv, want_lengths)
+        for got, wanted in zip((rows, row_ids, inv, batch_lengths), want, strict=True):
+            assert (got.dtype, got.shape) == (wanted.dtype, wanted.shape)
+            assert got.tobytes() == wanted.tobytes()
     assert seen == order.tolist()
 
 
 def test_train_pads_each_corpus_once(rng, monkeypatch):
-    # the training set once per run and the val set once per validation
-    # pass; no step pads its batch
-    calls = []
-    fit = HCMSModel.fit_batch
+    # the training set and the val set once per run, whatever the epochs; no
+    # step or validation pass pads or keys
+    calls, keyings = [], []
+    fit, key = HCMSModel.fit_batch, HCMSModel.key
     monkeypatch.setattr(HCMSModel, "fit_batch",
                         lambda self, examples: calls.append(len(examples)) or fit(self, examples))
+    monkeypatch.setattr(HCMSModel, "key", lambda self, *a: keyings.append(1) or key(self, *a))
+    for epochs in (1, 3):
+        calls.clear()
+        keyings.clear()
+        m = HCMSModel(tiny_config(), seed=0)
+        train(m, tiny_data(rng, n=10), tiny_data(rng, n=6),
+              TrainConfig(epochs=epochs, batch_size=4), DEFAULT_OPT)
+        assert calls == [10, 6]
+        assert len(keyings) == 2
+
+
+@pytest.mark.parametrize("where", ["last_train_batch", "val"])
+def test_bad_id_fails_before_any_step(rng, where):
+    # a VocabularyError, with every parameter as it was: the corpora are keyed,
+    # and their ids checked, before the first step
     m = HCMSModel(tiny_config(), seed=0)
-    train(m, tiny_data(rng, n=10), tiny_data(rng, n=6), TrainConfig(epochs=3, batch_size=4),
-          DEFAULT_OPT)
-    assert calls == [10, 6, 6, 6]
+    train_data, val_data = tiny_data(rng, n=10), tiny_data(rng, n=6)
+    bad = train_data if where == "last_train_batch" else val_data
+    bad[-1] = ([*bad[-1][0][:-1], 16], None, bad[-1][2])
+    before = m.store.value.copy()
+    with pytest.raises(VocabularyError):
+        train(m, train_data, val_data, TrainConfig(epochs=2, batch_size=4, shuffle=False),
+              DEFAULT_OPT)
+    assert m.store.value.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +351,7 @@ def test_predict_matches_per_batch_model_predict(rng, overrides, monkeypatch):
     data, batch_size = chunked_input(rng, m), 3
     probs, labels = [], m._labels
     monkeypatch.setattr(m, "_labels", lambda p: probs.append(p) or labels(p))
-    got = predict(m, data, batch_size)
+    got = predict(m, prepare(m, data), batch_size)
     got_probs = np.concatenate(probs)
     monkeypatch.undo()
     want, want_probs = [], []
@@ -368,7 +390,7 @@ def test_predict_builds_one_tap_table_per_chunk(rng, overrides, monkeypatch):
         return build(rows, f, out)
 
     monkeypatch.setattr(T, "tap_table", counted)
-    predict(m, data, batch_size)
+    predict(m, prepare(m, data), batch_size)
     assert sizes == want
     assert len(sizes) >= 2 and max(sizes) <= cap
     # every chunk's table is written into one buffer of at most cap rows
@@ -382,7 +404,7 @@ def test_predict_checks_ids_before_keying():
     m = HCMSModel(tiny_config(lang_features=True), seed=0)
     data = [([15], np.eye(4)[[1]], 0), ([-1], np.eye(4)[[0]], 0)]
     with pytest.raises(VocabularyError):
-        predict(m, data, 2)
+        predict(m, prepare(m, data), 2)
 
 
 # ---------------------------------------------------------------------------
