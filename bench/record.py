@@ -58,6 +58,17 @@ NOTES = [
     "the validation set since train prepares each corpus once (train.prepare, "
     "at the top of train): each validation pass only builds its tap table and "
     "runs the batches. Compare it across that change with this in mind.",
+    "Predict (so each validation pass too) splits each batch's conv tap "
+    "gathers and attention pair scores by examples across all CPUs since "
+    "tensor.threads, so layers.conv.fwd_*, layers.attention.fwd_*, "
+    "tensor.conv1d_ms and tensor.conv1d_gflop_per_s on predict-default, the "
+    "same forward figures on train-default (its validation passes) and "
+    "train.evaluate_ms are wall times of work spread over several threads; do "
+    "not compare them across that change. perfbench/tracing.py keeps one span "
+    "stack per process and takes a span's index before appending it, so a "
+    "traced function called on another thread would get a wrong parent and "
+    "could take another span's end: the worker threads call numpy alone, and "
+    "every traced span stays on the calling thread.",
 ]
 
 

@@ -240,13 +240,29 @@ class SelfAttentionLayer:
         self.include_self = include_self
         self.score_sigmoid = score_sigmoid
 
-    def _hidden(self, Tq, Kc):
-        """tanh(c_t W_t + c_t' W_c + b_t) for every pair: [B, v, v, hidden].
-        The model's largest array, so it is built in place; forward caches it
-        and backward reuses its buffer for the gradient."""
-        H = Tq[..., :, None, :] + Kc[..., None, :, :]
-        H += self.b_t.value
-        return np.tanh(H, out=H)
+    def _scores(self, C):
+        """(H, E) of context vectors C [B, v, dim]: H = tanh(c_t W_t + c_t' W_c
+        + b_t) for every pair, [B, v, v, hidden], and the raw scores E = H W_a
+        + b_a, [B, v, v]. H is the model's largest array, so it is built in
+        place, example by example on tensor.map_rows's threads; forward caches
+        it and backward reuses its buffer for the gradient."""
+        v, dim = C.shape[-2:]
+        hidden = self.b_t.shape[0]
+        H, E = np.empty(C.shape[:-1] + (v, hidden)), np.empty(C.shape[:-1] + (v,))
+        # one example a row, a B-less [v, dim] input too
+        Cb, Hb, Eb = C.reshape(-1, v, dim), H.reshape(-1, v, v, hidden), E.reshape(-1, v, v)
+
+        def fill(at):
+            Tq = Cb[at] @ self.W_t.value  # query side
+            Kc = Cb[at] @ self.W_c.value  # key side
+            out = Hb[at]
+            np.add(Tq[:, :, None, :], Kc[:, None, :, :], out=out)
+            out += self.b_t.value
+            np.tanh(out, out=out)
+            np.add(out @ self.W_a.value[:, 0], self.b_a.value[0], out=Eb[at])
+
+        T.map_rows(len(Cb), fill)
+        return H, E
 
     def forward(self, C):
         v = C.shape[-2]
@@ -254,10 +270,7 @@ class SelfAttentionLayer:
         if v < min_v:
             raise AttentionDomainError(
                 f"need at least {min_v} context vectors, got {v}")
-        Tq = C @ self.W_t.value          # [B, v, h] query side
-        Kc = C @ self.W_c.value          # [B, v, h] key side
-        H = self._hidden(Tq, Kc)
-        E = H @ self.W_a.value[:, 0] + self.b_a.value[0]  # [B, v, v]
+        H, E = self._scores(C)
         S = T.sigmoid(E) if self.score_sigmoid else E
         logits = S.copy()                # sigmoid_backward reads S itself
         if not self.include_self:

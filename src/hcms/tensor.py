@@ -7,6 +7,12 @@ by hand, which keeps every gradient individually testable against finite
 differences.
 """
 
+import contextlib
+import contextvars
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 
 
@@ -36,6 +42,58 @@ class Parameter:
 
     def zero_grad(self):
         self.grad.fill(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Row-parallel numpy work. conv1d's tap gathers and the attention's pair
+# scores (SelfAttentionLayer._scores) are computed example by example, and
+# numpy releases the GIL inside them. Within `with threads(w)` each runs on w
+# threads, one contiguous slice of examples a thread, with the bits of one
+# thread. The pool threads live for the block alone and call numpy alone,
+# never a function of this package, so a tracer that wraps the package's
+# functions sees every call on the thread that made the block. The block's
+# pool is a context variable: set on entry and reset on exit, and seen by the
+# thread that entered the block alone.
+
+_THREADS = contextvars.ContextVar("threads", default=(None, 1))
+
+
+@contextlib.contextmanager
+def threads(w):
+    """map_rows runs on w threads inside the block: a pool of w threads,
+    thread i pinned to CPU i (cyclically) of the process's affinity mask,
+    while the calling thread waits. Unpinned, or with the calling thread
+    taking a slice, a woken thread was often placed on its waker's CPU, and
+    the two then shared one CPU. With w = 1 no pool starts and map_rows runs
+    on the calling thread."""
+    mask, slots = sorted(os.sched_getaffinity(0)), itertools.count()
+
+    def pin():  # pid 0: the calling (pool) thread alone
+        os.sched_setaffinity(0, {mask[next(slots) % len(mask)]})
+
+    with (ThreadPoolExecutor(w, initializer=pin) if w > 1
+          else contextlib.nullcontext()) as pool:
+        token = _THREADS.set((pool, w))
+        try:
+            yield
+        finally:
+            _THREADS.reset(token)
+
+
+def map_rows(n, fn):
+    """fn(rows) for contiguous slices rows of range(n), one per thread of the
+    enclosing threads() block, at most n slices; outside a block, or for one
+    slice, one call on the calling thread. Returns once every slice is done
+    and raises the first error of any of them."""
+    pool, w = _THREADS.get()
+    w = max(1, min(w, n))
+    if w == 1:
+        return fn(slice(0, n))
+    cut = [n * i // w for i in range(w + 1)]
+    futures = [pool.submit(fn, slice(a, b)) for a, b in zip(cut, cut[1:])]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +139,17 @@ def distinct_rows(x):
     return rows, np.arange(len(rows)).reshape(-1, u), None
 
 
+# np.add.reduceat sums a run of up to this many rows in order, as
+# first + (((-0.0 + r2) + r3) + ...); a longer run's rest is a pairwise sum.
+_SHORT_RUN = 8
+
+
 def group_sum(keys, values):
     """(distinct keys in sorted order, their sums): values [keys.size, ...]
-    has one row per flattened key, and rows sharing a key are summed. One
-    stable sort into runs of equal keys, then one np.add.reduceat."""
+    has one row per flattened key, and rows sharing a key are summed, with
+    the bits of one np.add.reduceat over the runs of a stable sort. A run of
+    one row is a copy; runs of 2 to _SHORT_RUN rows are summed rank by rank,
+    all at once, in reduceat's order; only longer runs go through reduceat."""
     keys = np.ravel(keys)
     order = np.argsort(keys, kind="stable")
     run_keys = keys[order]
@@ -92,7 +157,22 @@ def group_sum(keys, values):
     is_start[:1] = True
     np.not_equal(run_keys[1:], run_keys[:-1], out=is_start[1:])
     starts = np.flatnonzero(is_start)
-    return run_keys[starts], np.add.reduceat(values[order], starts, axis=0)
+    sizes = np.diff(starts, append=keys.size)
+    sums = values[order[starts]]  # each run's first row: a singleton's sum
+    # short runs longest first, so the runs that reach rank r are a prefix
+    short = np.flatnonzero((sizes > 1) & (sizes <= _SHORT_RUN))
+    short = short[np.argsort(-sizes[short], kind="stable")]
+    if short.size:
+        first, n = starts[short], sizes[short]
+        rest = values[order[first + 1]]
+        for r in range(2, n[0]):
+            live = np.count_nonzero(n > r)
+            rest[:live] += values[order[first[:live] + r]]
+        sums[short] += rest
+    if (long := sizes > _SHORT_RUN).any():
+        at = np.cumsum(sizes[long]) - sizes[long]
+        sums[long] = np.add.reduceat(values[order[np.repeat(long, sizes)]], at, axis=0)
+    return run_keys[starts], sums
 
 
 def tap_table(rows, filters, out=None):
@@ -118,10 +198,15 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
     rows, inv, _ = layout or distinct_rows(x)
     if taps is None:
         taps = tap_table(rows, filters)
-    out = taps[0].take(inv[:, _strided(v, stride)], axis=0)
-    out += bias
-    for j in range(1, k):
-        out += taps[j].take(inv[:, _strided(v, stride, j)], axis=0)
+    out = np.empty((len(inv), v, f))
+
+    def add_taps(at):  # the bias plus each tap's table rows, for examples at
+        part = out[at]
+        np.add(taps[0].take(inv[at, _strided(v, stride)], axis=0), bias, out=part)
+        for j in range(1, k):
+            part += taps[j].take(inv[at, _strided(v, stride, j)], axis=0)
+
+    map_rows(len(inv), add_taps)
     return out.reshape(x.shape[:-2] + (v, f))
 
 

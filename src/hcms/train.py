@@ -207,21 +207,33 @@ def _chunks(model, corpus, order, batch_size, cap):
         yield gathered()
 
 
+def cpus():
+    """CPUs this process may run on: its affinity mask, which taskset limits."""
+    return len(os.sched_getaffinity(0))
+
+
 def predict(model, corpus, batch_size):
     """Predicted labels over a Corpus, run batch_size at a time (which bounds
     the attention's [B, v, v, hidden] tensor), with one conv tap table per
     chunk of batches whose distinct rows fit in batch_size * L (L the padded
-    length), the most one batch's table holds, all in one buffer."""
+    length), the most one batch's table holds, all in one buffer. Each
+    batch's conv tap gathers and attention pair scores are split by examples
+    across one thread per cpus() (tensor.threads), threads that live for this
+    call alone; at most batch_size examples are in flight across them, and
+    labels and probabilities do not depend on the CPU count."""
     cap = batch_size * corpus.ids.shape[1]
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
     # chunk fragment the heap, which then keeps freed tables resident
     table = np.empty((k, min(len(corpus.first), cap), f))
     labels = []
-    for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.ids)), batch_size, cap):
-        taps = T.tap_table(rows, model.conv.filters.value, table)
-        for _, inv, lengths in run:  # no embedding gather per batch
-            labels += model._labels(model.classify((None, inv, None), lengths, taps)).tolist()
+    with T.threads(cpus()):
+        for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.ids)),
+                                    batch_size, cap):
+            taps = T.tap_table(rows, model.conv.filters.value, table)
+            for _, inv, lengths in run:  # no embedding gather per batch
+                probs = model.classify((None, inv, None), lengths, taps)
+                labels += model._labels(probs).tolist()
     return labels
 
 

@@ -1,8 +1,14 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hcms
 
 from hcms.cli import main
 from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, clean,
@@ -123,6 +129,25 @@ def test_predict_independent_of_batch_size(corpus_files, trained, tmp_path):
         assert code == 0
         outs.append((out / "predictions.tsv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_predict_independent_of_cpu_count(corpus_files, trained, tmp_path):
+    # a child that pins itself to one CPU (the affinity mask, as taskset sets
+    # it) writes the bytes of an unpinned one, which splits its batch of 10
+    # records across every CPU
+    env = {**os.environ, "PYTHONPATH": str(Path(hcms.__file__).parents[1])}
+    cpu = min(os.sched_getaffinity(0))
+    pinned = (f"import os, runpy; os.sched_setaffinity(0, {{{cpu}}}); "
+              "runpy.run_module('hcms.cli', run_name='__main__', alter_sys=True)")
+    outs = []
+    for name, launch in (("all", ["-m", "hcms.cli"]), ("one", ["-c", pinned])):
+        out = tmp_path / name
+        subprocess.run([sys.executable, *launch, "predict",
+                        "--checkpoint", str(trained / "model.ckpt"),
+                        "--input", str(corpus_files / "unlabeled.conll"),
+                        "--out-dir", str(out)], env=env, check=True)
+        outs.append((out / "predictions.tsv").read_bytes())
+    assert outs[0] == outs[1] and outs[0].count(b"\n") == 10
 
 
 def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):

@@ -1,7 +1,11 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import extra_ops as T
 from conftest import assert_close, central_diff
@@ -200,6 +204,78 @@ def test_conv1d_keyed_gradcheck(rng):
             lambda a: float((T.conv1d(x, a, b, stride, keys=ids) * w).sum()), f))
         assert_close(db, central_diff(
             lambda a: float((T.conv1d(x, f, a, stride, keys=ids) * w).sum()), b))
+
+
+# ---------------------------------------------------------------------------
+# map_rows: contiguous slices of examples, one per thread of a threads() block
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_map_rows_covers_each_row_once(w, n):
+    # one slice runs on the calling thread; more run on pool threads, each
+    # pinned to one CPU of the mask
+    seen, calling, mask = [], threading.get_ident(), os.sched_getaffinity(0)
+    before = threading.active_count()
+    with T.threads(w):
+        T.map_rows(n, lambda at: seen.append((at, threading.get_ident(),
+                                               os.sched_getaffinity(0))))
+    assert threading.active_count() == before and os.sched_getaffinity(0) == mask
+    slices = sorted((at.start, at.stop) for at, *_ in seen)
+    assert [a for a, _ in slices] == [0, *(b for _, b in slices[:-1])] and slices[-1][1] == n
+    assert len(seen) == max(1, min(w, n))
+    for _, ident, cpus in seen:
+        if len(seen) == 1:
+            assert ident == calling and cpus == mask
+        else:
+            assert ident != calling and len(cpus) == 1 and cpus <= mask
+
+
+def test_map_rows_outside_threads_is_one_call():
+    seen = []
+    T.map_rows(5, seen.append)
+    assert seen == [slice(0, 5)]
+
+
+def test_map_rows_raises_after_every_slice_is_done():
+    done, before = [], threading.active_count()
+
+    def fn(at):
+        if at.start == 2:
+            raise T.ShapeError("slice 2")
+        time.sleep(0.01)
+        done.append(at.start)
+
+    with pytest.raises(T.ShapeError, match="slice 2"), T.threads(3):
+        T.map_rows(6, fn)
+    assert sorted(done) == [0, 4] and threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# group_sum: reduceat's bits, with short runs summed outside it
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.one_of(st.integers(1, 10), st.integers(1, 200)), min_size=1,
+                      max_size=12),
+       cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       specials=st.lists(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan]),
+                         max_size=24))
+def test_group_sum_matches_reduceat(sizes, cols, seed, specials):
+    # runs of 1 to 200 equal keys in shuffled rows, values over 12 decades
+    # with -0.0, +-inf and NaN sprinkled in
+    rng = np.random.default_rng(seed)
+    keys = np.repeat(rng.permutation(3 * len(sizes))[:len(sizes)], sizes)
+    keys = keys[rng.permutation(keys.size)]
+    values = rng.normal(size=(keys.size, cols)) * 10.0 ** rng.integers(-6, 7, (keys.size, cols))
+    values.reshape(-1)[rng.integers(0, values.size, size=len(specials))] = specials
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = np.add.reduceat(values[order], starts, axis=0)
+        got_keys, got = T.group_sum(keys, values)
+    assert got_keys.tolist() == keys[order][starts].tolist()
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)  # NaN in, NaN out
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 # ---------------------------------------------------------------------------

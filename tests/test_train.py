@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from hcms import tensor as T
-from hcms.layers import ConfigError, HCMSModel, ModelConfig, VocabularyError
+from hcms import train as train_module
+from hcms.layers import (AttentionDomainError, ConfigError, HCMSModel, ModelConfig,
+                         VocabularyError)
 from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         CheckpointVersionError, DataError, DivergenceError,
                         LabelError,
@@ -396,6 +399,61 @@ def test_predict_builds_one_tap_table_per_chunk(rng, overrides, monkeypatch):
     # every chunk's table is written into one buffer of at most cap rows
     ((_, rows),) = buffers
     assert max(sizes) <= rows <= cap
+
+
+def _predict_on(m, data, batch_size, workers, monkeypatch):
+    """(labels, the bytes of every batch's probabilities) of predict with
+    train.cpus() forced to workers."""
+    probs, labels = [], m._labels
+    monkeypatch.setattr(m, "_labels", lambda p: probs.append(p.tobytes()) or labels(p))
+    monkeypatch.setattr(train_module, "cpus", lambda: workers)
+    got = predict(m, prepare(m, data), batch_size)
+    monkeypatch.undo()
+    return got, probs
+
+
+@pytest.mark.parametrize("overrides", PREDICT_CONFIGS.values(), ids=PREDICT_CONFIGS)
+def test_predict_is_the_same_on_any_cpu_count(rng, overrides, monkeypatch):
+    # batches of 3 (the last of 1) cut into slices of 1 to 3 rows
+    m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
+    data = chunked_input(rng, m)
+    want = _predict_on(m, data, 3, 1, monkeypatch)
+    for workers in (2, 3):
+        assert _predict_on(m, data, 3, workers, monkeypatch) == want
+
+
+def test_predict_uses_every_cpu_and_leaves_no_cache_or_thread(rng, monkeypatch):
+    m = HCMSModel(tiny_config(vocab_size=64), seed=7)
+    workers, map_rows = set(), T.map_rows
+
+    def recorded(n, fn):
+        return map_rows(n, lambda at: workers.add(threading.get_ident()) or fn(at))
+
+    monkeypatch.setattr(T, "map_rows", recorded)
+    monkeypatch.setattr(train_module, "cpus", lambda: 3)
+    before = threading.active_count()
+    predict(m, prepare(m, chunked_input(rng, m)), 4)
+    assert len(workers) == 3 and threading.active_count() == before
+    for layer in (m.conv, m.attention, m.head):
+        assert layer._cache is None
+
+
+def test_predict_worker_error_reaches_the_caller(rng, monkeypatch):
+    m = HCMSModel(tiny_config(vocab_size=64), seed=7)
+    map_rows = T.map_rows
+
+    def failing(at):
+        if threading.current_thread() is not threading.main_thread():
+            raise AttentionDomainError("raised on a worker thread")
+
+    monkeypatch.setattr(T, "map_rows", lambda n, fn: map_rows(n, lambda at: failing(at)
+                                                             or fn(at)))
+    monkeypatch.setattr(train_module, "cpus", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(AttentionDomainError, match="worker thread"):
+        predict(m, prepare(m, chunked_input(rng, m)), 4)
+    assert threading.active_count() == before
 
 
 def test_predict_checks_ids_before_keying():
