@@ -69,6 +69,13 @@ NOTES = [
     "traced function called on another thread would get a wrong parent and "
     "could take another span's end: the worker threads call numpy alone, and "
     "every traced span stays on the calling thread.",
+    "Training runs every step in one tensor.threads(cpus()) block since "
+    "train splits each step's tap table and conv backward taps by tap and "
+    "Adam's blocks by runs of blocks across all CPUs, so on train-default "
+    "tensor.conv1d_backward_ms, train.adam_ms_per_step, layers.conv.* and "
+    "layers.attention.fwd_* (and tensor.conv1d_ms, tensor.conv1d_gflop_per_s) "
+    "are wall times of work spread over several threads; do not compare them "
+    "across that change.",
 ]
 
 

@@ -261,7 +261,7 @@ class SelfAttentionLayer:
             np.tanh(out, out=out)
             np.add(out @ self.W_a.value[:, 0], self.b_a.value[0], out=Eb[at])
 
-        T.map_rows(len(Cb), fill)
+        T.map_rows(len(Cb), fill, H.size)
         return H, E
 
     def forward(self, C):

@@ -45,17 +45,27 @@ class Parameter:
 
 
 # ---------------------------------------------------------------------------
-# Row-parallel numpy work. conv1d's tap gathers and the attention's pair
-# scores (SelfAttentionLayer._scores) are computed example by example, and
-# numpy releases the GIL inside them. Within `with threads(w)` each runs on w
-# threads, one contiguous slice of examples a thread, with the bits of one
-# thread. The pool threads live for the block alone and call numpy alone,
-# never a function of this package, so a tracer that wraps the package's
-# functions sees every call on the thread that made the block. The block's
-# pool is a context variable: set on entry and reset on exit, and seen by the
-# thread that entered the block alone.
+# Row-parallel numpy work. Inside `with threads(w)` (train and predict run
+# all their work in one such block) map_rows splits an op's independent rows
+# into w contiguous slices, one a thread, and numpy releases the GIL inside
+# each: conv1d's tap gathers and the attention's pair scores
+# (SelfAttentionLayer._scores) by example, tap_table and conv1d_backward by
+# tap, and adam_step by block. Each row is computed by the same numpy calls
+# on any thread, so the bits are those of one thread. A call that writes
+# fewer than _MIN_WORK scalars runs on the calling thread: a fan-out costs
+# 0.1 to 0.2 ms, more than a small model's whole op. The pool threads live for
+# the outermost block and call numpy and this module's private helpers
+# alone, never a public function of this package, so a tracer that wraps
+# the package's public functions sees every call on the thread that made
+# the block. The block's pool is a context variable: set on entry and reset
+# on exit, and seen by the thread that entered the block alone.
 
 _THREADS = contextvars.ContextVar("threads", default=(None, 1))
+
+# Scalars a map_rows call must write before it fans out. At the default dims
+# each split op writes 0.26M to 1.3M (Adam's grows with the vocabulary); an
+# 8-wide model's write 256 to 2k.
+_MIN_WORK = 1 << 16
 
 
 @contextlib.contextmanager
@@ -65,7 +75,11 @@ def threads(w):
     while the calling thread waits. Unpinned, or with the calling thread
     taking a slice, a woken thread was often placed on its waker's CPU, and
     the two then shared one CPU. With w = 1 no pool starts and map_rows runs
-    on the calling thread."""
+    on the calling thread; inside a block of the same width (predict within
+    train) the enclosing block's pool serves."""
+    if w == _THREADS.get()[1]:
+        yield
+        return
     mask, slots = sorted(os.sched_getaffinity(0)), itertools.count()
 
     def pin():  # pid 0: the calling (pool) thread alone
@@ -80,13 +94,14 @@ def threads(w):
             _THREADS.reset(token)
 
 
-def map_rows(n, fn):
+def map_rows(n, fn, scalars):
     """fn(rows) for contiguous slices rows of range(n), one per thread of the
-    enclosing threads() block, at most n slices; outside a block, or for one
-    slice, one call on the calling thread. Returns once every slice is done
-    and raises the first error of any of them."""
+    enclosing threads() block, at most n slices, when the call writes at least
+    _MIN_WORK scalars in all; otherwise, or outside a block, one call on the
+    calling thread. Returns once every slice is done and raises the first
+    error of any of them."""
     pool, w = _THREADS.get()
-    w = max(1, min(w, n))
+    w = max(1, min(w, n)) if scalars >= _MIN_WORK else 1
     if w == 1:
         return fn(slice(0, n))
     cut = [n * i // w for i in range(w + 1)]
@@ -113,7 +128,7 @@ def map_rows(n, fn):
 #
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
-# term depends only on the input row and the tap j. One batched GEMM
+# term depends only on the input row and the tap j. One GEMM per tap
 # (tap_table) multiplies each distinct row by the k taps, giving a
 # [k, rows, f] table, and each output row adds up its k table rows. A
 # training step builds the table over its batch; predict, whose filters do
@@ -122,9 +137,11 @@ def map_rows(n, fn):
 # The backward runs the same sums the other way. For each tap j, group_sum
 # adds up dout over the windows whose tap j reads each distinct row, giving
 # sums [rows read, f]; then dfilters[:, j] = sums^T @ those rows, and each
-# row's gradient gains sums @ filters[:, j]. The GEMMs are as large as the
-# number of distinct rows, not of windows, so a padding window costs only
-# its share of the group sums.
+# row's gradient gains sums @ filters[:, j]. The taps are independent up to
+# that last add, so they run on map_rows's threads, and the adds run in tap
+# order on the calling thread. The GEMMs are as large as the number of
+# distinct rows, not of windows, so a padding window costs only its share
+# of the group sums.
 
 
 def _strided(v, stride, start=0):
@@ -150,6 +167,11 @@ def group_sum(keys, values):
     the bits of one np.add.reduceat over the runs of a stable sort. A run of
     one row is a copy; runs of 2 to _SHORT_RUN rows are summed rank by rank,
     all at once, in reduceat's order; only longer runs go through reduceat."""
+    return _group_sum(keys, values)
+
+
+def _group_sum(keys, values):
+    """group_sum's body, which pool threads call (see threads)."""
     keys = np.ravel(keys)
     order = np.argsort(keys, kind="stable")
     run_keys = keys[order]
@@ -177,10 +199,19 @@ def group_sum(keys, values):
 
 def tap_table(rows, filters, out=None):
     """[k, n, f]: each of rows [n, d] times each of the k taps of filters [f, k, d].
-    out, if given, is a [k, >= n, f] buffer whose first n rows per tap take it."""
-    if out is None:
-        return rows @ filters.transpose(1, 2, 0)
-    return np.matmul(rows, filters.transpose(1, 2, 0), out=out[:, :len(rows)])
+    out, if given, is a [k, >= n, f] buffer whose first n rows per tap take it.
+    Each tap is one GEMM, the taps split across map_rows's threads; a stacked
+    product of all k gives the same bits."""
+    f, k, _ = filters.shape
+    out = np.empty((k, len(rows), f)) if out is None else out[:, :len(rows)]
+    per_tap = filters.transpose(1, 2, 0)
+
+    def multiply(taps):
+        for j in range(taps.start, taps.stop):
+            np.matmul(rows, per_tap[j], out=out[j])
+
+    map_rows(k, multiply, out.size)
+    return out
 
 
 def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
@@ -206,23 +237,39 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
         for j in range(1, k):
             part += taps[j].take(inv[at, _strided(v, stride, j)], axis=0)
 
-    map_rows(len(inv), add_taps)
+    map_rows(len(inv), add_taps, out.size)
     return out.reshape(x.shape[:-2] + (v, f))
 
 
 def conv1d_backward(dout, x, filters, stride=1, layout=None):
     """Returns (dx, dfilters, dbias) for conv1d. After a layout with row ids,
     dx [n, d] holds one row per layout row, in the layout's order: the summed
-    gradient of the positions that read it. Otherwise dx has x's shape."""
+    gradient of the positions that read it. Otherwise dx has x's shape.
+
+    The taps run in waves of one tap per thread of the threads() block: each
+    tap's group sums, dfilters[:, j] and its rows' gradient part go to
+    map_rows's threads, the part into a buffer of the wave, and the calling
+    thread then adds the wave's parts to dx in tap order, as one thread would."""
     dout, x = as_tensor(dout), as_tensor(x)
     f, k, d = filters.shape
     rows, inv, row_ids = layout or distinct_rows(x)
-    g = dout.reshape(-1, f)
+    g, v = dout.reshape(-1, f), dout.shape[-2]
     dx, dfilters = np.zeros((len(rows), d)), np.empty(filters.shape)
-    for j in range(k):
-        read, sums = group_sum(inv[:, _strided(dout.shape[-2], stride, j)], g)
-        dfilters[:, j] = sums.T @ rows[read]
-        dx[read] += sums @ filters[:, j]
+    width = min(_THREADS.get()[1], k)
+    parts, reads = np.empty((width, len(rows), d)), [None] * k
+
+    def taps(js):  # each tap's group sums, dfilters[:, j] and gradient part
+        for j in js:
+            read, sums = _group_sum(inv[:, _strided(v, stride, j)], g)
+            dfilters[:, j] = sums.T @ rows[read]
+            np.matmul(sums, filters[:, j], out=parts[j % width, :len(read)])
+            reads[j] = read
+
+    for wave in range(0, k, width):
+        js = range(wave, min(wave + width, k))
+        map_rows(len(js), lambda at: taps(js[at]), len(js) * (len(rows) + f) * d)
+        for j in js:
+            dx[reads[j]] += parts[j % width, :len(reads[j])]
     return (dx.reshape(x.shape) if row_ids is None else dx), dfilters, g.sum(axis=0)
 
 

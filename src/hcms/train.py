@@ -135,34 +135,54 @@ _BLOCK = 1 << 15
 def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
     """Standard bias-corrected Adam update, in place; zeroes the gradient
     afterwards. Runs block by block over the flattened arrays, with the same
-    per-element operations in the same order as one pass over the whole."""
+    per-element operations in the same order as one pass over the whole; the
+    blocks are split into contiguous runs across tensor.map_rows's threads,
+    each run with its own scratch, so the bits do not depend on the split."""
     state.step += 1
     m_scale = 1.0 - cfg.beta1 ** state.step
     v_scale = 1.0 - cfg.beta2 ** state.step
     value, grad, m, v = (a.reshape(-1, copy=False)
                          for a in (param.value, param.grad, state.m, state.v))
-    scratch = np.empty(min(value.size, _BLOCK))
-    for start in range(0, value.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        g, mb, vb = grad[blk], m[blk], v[blk]
-        t = scratch[:g.size]
-        mb *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, g, out=t)
-        mb += t
-        vb *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=t)
-        t *= g
-        vb += t
-        # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t
-        # and in the gradient block, which is zeroed afterwards
-        np.divide(vb, v_scale, out=t)
-        np.sqrt(t, out=t)
-        t += cfg.epsilon
-        np.divide(mb, m_scale, out=g)
-        g *= cfg.lr
-        g /= t
-        value[blk] -= g
-        g.fill(0.0)
+
+    def update(blocks):
+        scratch = np.empty(min(value.size, _BLOCK))
+        for start in range(blocks.start * _BLOCK, min(blocks.stop * _BLOCK, value.size),
+                           _BLOCK):
+            blk = slice(start, start + _BLOCK)
+            g, mb, vb = grad[blk], m[blk], v[blk]
+            t = scratch[:g.size]
+            mb *= cfg.beta1
+            np.multiply(1.0 - cfg.beta1, g, out=t)
+            mb += t
+            vb *= cfg.beta2
+            np.multiply(1.0 - cfg.beta2, g, out=t)
+            t *= g
+            vb += t
+            # lr * m_hat / (sqrt(v_hat) + eps) in the same operation order, in t
+            # and in the gradient block, which is zeroed afterwards
+            np.divide(vb, v_scale, out=t)
+            np.sqrt(t, out=t)
+            t += cfg.epsilon
+            np.divide(mb, m_scale, out=g)
+            g *= cfg.lr
+            g /= t
+            value[blk] -= g
+            g.fill(0.0)
+
+    T.map_rows(-(-value.size // _BLOCK), update, value.size)
+
+
+def check_gradient(grad, where):
+    """DivergenceError unless the squared norm grad @ grad is finite; the
+    message tells a NaN or inf element from finite elements whose norm
+    overflows."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        norm = grad @ grad
+    if not np.isfinite(norm):
+        if bad := np.count_nonzero(~np.isfinite(grad)):
+            raise DivergenceError(f"{where}: gradient has {bad} NaN or inf values")
+        raise DivergenceError(f"{where}: gradient norm overflows (every element "
+                              "is finite)")
 
 
 # A corpus padded and keyed once (prepare): fit_batch's ids [N, L], lang and
@@ -219,8 +239,9 @@ def predict(model, corpus, batch_size):
     length), the most one batch's table holds, all in one buffer. Each
     batch's conv tap gathers and attention pair scores are split by examples
     across one thread per cpus() (tensor.threads), threads that live for this
-    call alone; at most batch_size examples are in flight across them, and
-    labels and probabilities do not depend on the CPU count."""
+    call alone, or for the enclosing train; at most batch_size examples are
+    in flight across them, and labels and probabilities do not depend on the
+    CPU count."""
     cap = batch_size * corpus.ids.shape[1]
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
@@ -249,7 +270,13 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
     label_index). Keeps the parameter snapshot with the best validation
     weighted F1 and restores it before returning. A tcfg or ocfg that breaks
-    its validate() raises ConfigError before anything trains.
+    its validate() raises ConfigError before anything trains; a non-finite
+    loss or gradient raises DivergenceError at its step.
+
+    Every step and validation pass runs in one tensor.threads(cpus()) block:
+    the split ops of a large enough model spread over every CPU of the
+    affinity mask, with the bits of one thread, so the log and the trained
+    parameters do not depend on the CPU count.
     """
     tcfg.validate()
     ocfg.validate()
@@ -268,33 +295,35 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     log = []
     order = np.arange(len(train_data))
     model.zero_grad()  # adam_step leaves every gradient zeroed after this
-    for epoch in range(1, tcfg.epochs + 1):
-        if tcfg.shuffle:
-            rng.shuffle(order)
-        total_loss = 0.0
-        for rows, row_ids, ((idx, inv, lengths),) in _chunks(model, corpus, order,
-                                                              tcfg.batch_size, 0):
-            y = np.eye(n_classes)[labels[idx]]
-            probs = model.classify((rows, inv, row_ids), lengths)
-            loss = cross_entropy(y, probs)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
-            total_loss += loss
-            # mean over the batch so lr is batch-size-insensitive
-            model.backward(cross_entropy_softmax_grad(y, probs) / len(idx))
-            adam_step(store, state, ocfg)
-        entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
-        if val:
-            trues, preds = evaluate(model, val, tcfg.batch_size)
-            report = score(trues, preds, n_classes)
-            entry["val_f1"] = report.weighted_f1
-            entry["val_acc"] = report.accuracy
-            if report.weighted_f1 > best_f1:
-                best_f1 = report.weighted_f1
-                best_snapshot = store.value.copy()
-        log.append(entry)
-        if log_fn:
-            log_fn(entry)
+    with T.threads(cpus()):  # the validation passes' predict shares the pool
+        for epoch in range(1, tcfg.epochs + 1):
+            if tcfg.shuffle:
+                rng.shuffle(order)
+            total_loss = 0.0
+            for rows, row_ids, ((idx, inv, lengths),) in _chunks(model, corpus, order,
+                                                                  tcfg.batch_size, 0):
+                y = np.eye(n_classes)[labels[idx]]
+                probs = model.classify((rows, inv, row_ids), lengths)
+                loss = cross_entropy(y, probs)
+                if not np.isfinite(loss):
+                    raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
+                total_loss += loss
+                # mean over the batch so lr is batch-size-insensitive
+                model.backward(cross_entropy_softmax_grad(y, probs) / len(idx))
+                check_gradient(store.grad, f"epoch {epoch}, step {state.step + 1}")
+                adam_step(store, state, ocfg)
+            entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
+            if val:
+                trues, preds = evaluate(model, val, tcfg.batch_size)
+                report = score(trues, preds, n_classes)
+                entry["val_f1"] = report.weighted_f1
+                entry["val_acc"] = report.accuracy
+                if report.weighted_f1 > best_f1:
+                    best_f1 = report.weighted_f1
+                    best_snapshot = store.value.copy()
+            log.append(entry)
+            if log_fn:
+                log_fn(entry)
     if best_snapshot is not None:
         store.value[...] = best_snapshot
     if not np.isfinite(store.value).all():

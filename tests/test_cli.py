@@ -134,13 +134,13 @@ def test_predict_independent_of_batch_size(corpus_files, trained, tmp_path):
 def test_predict_independent_of_cpu_count(corpus_files, trained, tmp_path):
     # a child that pins itself to one CPU (the affinity mask, as taskset sets
     # it) writes the bytes of an unpinned one, which splits its batch of 10
-    # records across every CPU
+    # records across every CPU (the work gate lowered so a tiny model splits)
     env = {**os.environ, "PYTHONPATH": str(Path(hcms.__file__).parents[1])}
     cpu = min(os.sched_getaffinity(0))
-    pinned = (f"import os, runpy; os.sched_setaffinity(0, {{{cpu}}}); "
-              "runpy.run_module('hcms.cli', run_name='__main__', alter_sys=True)")
-    outs = []
-    for name, launch in (("all", ["-m", "hcms.cli"]), ("one", ["-c", pinned])):
+    child = ("import os, runpy, hcms.tensor; hcms.tensor._MIN_WORK = 0; {}"
+             "runpy.run_module('hcms.cli', run_name='__main__', alter_sys=True)")
+    pin, outs = f"os.sched_setaffinity(0, {{{cpu}}}); ", []
+    for name, launch in (("all", ["-c", child.format("")]), ("one", ["-c", child.format(pin)])):
         out = tmp_path / name
         subprocess.run([sys.executable, *launch, "predict",
                         "--checkpoint", str(trained / "model.ckpt"),

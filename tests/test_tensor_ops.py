@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extra_ops as T
+from hcms import tensor
 from conftest import assert_close, central_diff
 
 N_TRIALS = 100
@@ -218,7 +219,7 @@ def test_map_rows_covers_each_row_once(w, n):
     before = threading.active_count()
     with T.threads(w):
         T.map_rows(n, lambda at: seen.append((at, threading.get_ident(),
-                                               os.sched_getaffinity(0))))
+                                               os.sched_getaffinity(0))), tensor._MIN_WORK)
     assert threading.active_count() == before and os.sched_getaffinity(0) == mask
     slices = sorted((at.start, at.stop) for at, *_ in seen)
     assert [a for a, _ in slices] == [0, *(b for _, b in slices[:-1])] and slices[-1][1] == n
@@ -232,7 +233,7 @@ def test_map_rows_covers_each_row_once(w, n):
 
 def test_map_rows_outside_threads_is_one_call():
     seen = []
-    T.map_rows(5, seen.append)
+    T.map_rows(5, seen.append, tensor._MIN_WORK)
     assert seen == [slice(0, 5)]
 
 
@@ -246,8 +247,33 @@ def test_map_rows_raises_after_every_slice_is_done():
         done.append(at.start)
 
     with pytest.raises(T.ShapeError, match="slice 2"), T.threads(3):
-        T.map_rows(6, fn)
+        T.map_rows(6, fn, tensor._MIN_WORK)
     assert sorted(done) == [0, 4] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_conv_ops_match_one_thread(seed, monkeypatch):
+    # tap_table split by tap, conv1d_backward by tap in waves (the last one
+    # short when the threads do not divide k), against one thread
+    monkeypatch.setattr(tensor, "_MIN_WORK", 0)
+    rng = np.random.default_rng(seed)
+    n, d, f, k = rng.integers(1, 60), rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 6)
+    stride, u = rng.integers(1, 3), k + rng.integers(0, 9)
+    v = (u - k) // stride + 1
+    rows, filters = rng.normal(size=(n, d)), rng.normal(size=(f, k, d))
+    layout = (rows, rng.integers(n, size=(rng.integers(1, 5), u)), np.arange(n))
+    x = np.broadcast_to(0.0, layout[1].shape + (d,))
+    dout = rng.normal(size=layout[1].shape[:1] + (v, f))
+
+    def bits(w):
+        with tensor.threads(w):
+            return [a.tobytes() for a in (tensor.tap_table(rows, filters),
+                                          *tensor.conv1d_backward(dout, x, filters, stride,
+                                                                  layout))]
+
+    want = bits(1)
+    for w in (2, 3):
+        assert bits(w) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import math
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -407,6 +409,7 @@ def _predict_on(m, data, batch_size, workers, monkeypatch):
     probs, labels = [], m._labels
     monkeypatch.setattr(m, "_labels", lambda p: probs.append(p.tobytes()) or labels(p))
     monkeypatch.setattr(train_module, "cpus", lambda: workers)
+    monkeypatch.setattr(T, "_MIN_WORK", 0)  # a tiny model's ops split too
     got = predict(m, prepare(m, data), batch_size)
     monkeypatch.undo()
     return got, probs
@@ -427,10 +430,14 @@ def test_predict_uses_every_cpu_and_leaves_no_cache_or_thread(rng, monkeypatch):
     m = HCMSModel(tiny_config(vocab_size=64), seed=7)
     workers, map_rows = set(), T.map_rows
 
-    def recorded(n, fn):
-        return map_rows(n, lambda at: workers.add(threading.get_ident()) or fn(at))
+    def recorded(n, fn, scalars):
+        # each slice outlasts the submits, so the pool starts a thread for
+        # each rather than handing a later slice to an idle one
+        return map_rows(n, lambda at: workers.add(threading.get_ident())
+                        or time.sleep(0.001) or fn(at), scalars)
 
     monkeypatch.setattr(T, "map_rows", recorded)
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
     monkeypatch.setattr(train_module, "cpus", lambda: 3)
     before = threading.active_count()
     predict(m, prepare(m, chunked_input(rng, m)), 4)
@@ -447,13 +454,140 @@ def test_predict_worker_error_reaches_the_caller(rng, monkeypatch):
         if threading.current_thread() is not threading.main_thread():
             raise AttentionDomainError("raised on a worker thread")
 
-    monkeypatch.setattr(T, "map_rows", lambda n, fn: map_rows(n, lambda at: failing(at)
-                                                             or fn(at)))
+    monkeypatch.setattr(T, "map_rows", lambda n, fn, scalars: map_rows(
+        n, lambda at: failing(at) or fn(at), scalars))
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
     monkeypatch.setattr(train_module, "cpus", lambda: 2)
     before = threading.active_count()
     with pytest.raises(AttentionDomainError, match="worker thread"):
         predict(m, prepare(m, chunked_input(rng, m)), 4)
     assert threading.active_count() == before
+
+
+def _train_on(overrides, data, val, workers, monkeypatch):
+    """(log, the bytes of the trained store) of a 2-epoch training with
+    train.cpus() forced to workers, the work gate lowered so that every split
+    op fans out, and Adam blocks of 64 scalars so that its update splits too."""
+    monkeypatch.setattr(train_module, "cpus", lambda: workers)
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "_BLOCK", 64)
+    m = HCMSModel(tiny_config(vocab_size=64, kernel=3, **overrides), seed=7)
+    log = train(m, data, val, TrainConfig(epochs=2, batch_size=3, seed=1), DEFAULT_OPT)
+    monkeypatch.undo()
+    return log, m.store.value.tobytes()
+
+
+@pytest.mark.parametrize("overrides", PREDICT_CONFIGS.values(), ids=PREDICT_CONFIGS)
+def test_train_is_the_same_on_any_cpu_count(rng, overrides, monkeypatch):
+    # 3 taps: one wave at 3 threads, a full and a short one at 2
+    m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
+    data = [(ids, lang, int(rng.integers(3))) for ids, lang, _ in chunked_input(rng, m)]
+    want = _train_on(overrides, data[:30], data[30:], 1, monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave inside every slice
+    try:
+        for workers in (2, 3):
+            assert _train_on(overrides, data[:30], data[30:], workers, monkeypatch) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_adam_step_matches_one_thread(workers, monkeypatch):
+    # 7 blocks of 64 scalars, the last one short, cut into runs of whole blocks
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "_BLOCK", 64)
+    rng = np.random.default_rng(workers)
+    value, grads = rng.normal(size=(10, 43)), rng.normal(size=(3, 10, 43))
+
+    def bits(w):
+        p = Parameter(value.copy())
+        state = AdamState(p)
+        with T.threads(w):
+            for g in grads:
+                p.grad[...] = g
+                adam_step(p, state, DEFAULT_OPT)
+        return [a.tobytes() for a in (p.value, p.grad, state.m, state.v)]
+
+    assert bits(workers) == bits(1)
+
+
+def test_small_model_trains_on_the_calling_thread(rng, monkeypatch):
+    # below the work gate nothing is submitted; with the gate lowered, every
+    # validation pass reuses train's pool
+    pools, submitted = [], []
+
+    class Pool(T.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(T, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(train_module, "cpus", lambda: 3)
+    data, val = tiny_data(rng), tiny_data(rng, n=4)
+    train(HCMSModel(tiny_config(), seed=0), data, val, TrainConfig(epochs=3, batch_size=4),
+          DEFAULT_OPT)
+    assert submitted == []
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    train(HCMSModel(tiny_config(), seed=0), data, val, TrainConfig(epochs=3, batch_size=4),
+          DEFAULT_OPT)
+    assert len(pools) == 2 and submitted
+
+
+def test_train_leaves_no_cache_or_thread(rng, monkeypatch):
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "cpus", lambda: 3)
+    m, before = HCMSModel(tiny_config(), seed=0), threading.active_count()
+    train(m, tiny_data(rng), tiny_data(rng, n=4), TrainConfig(epochs=2, batch_size=4),
+          DEFAULT_OPT)
+    assert threading.active_count() == before
+    for layer in (m.conv, m.attention, m.head):
+        assert layer._cache is None
+
+
+def test_pool_threads_call_no_public_hcms_function(rng, monkeypatch):
+    # a tracer that wraps the package's public functions keeps one span stack,
+    # so every public call must run on the thread that entered the block
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "cpus", lambda: 2)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("hcms"):
+            called.add(frame.f_code.co_qualname)
+
+    m = HCMSModel(tiny_config(lang_features=True), seed=0)
+    data = [(ids, np.eye(4)[rng.integers(4, size=len(ids))], label)
+            for ids, _, label in tiny_data(rng)]
+    threading.setprofile(profile)  # the threads started from here on: the pool's
+    try:
+        train(m, data, data[:4], TrainConfig(epochs=2, batch_size=4), DEFAULT_OPT)
+    finally:
+        threading.setprofile(None)
+    public = {name for name in called if "<locals>" not in name
+              and not any(part.startswith("_") for part in name.split("."))}
+    assert called and not public
+
+
+@pytest.mark.parametrize("bad, match", [(np.nan, "gradient has 1 NaN or inf values"),
+                                        (1e200, "gradient norm overflows")])
+def test_train_raises_on_nonfinite_gradient(rng, bad, match, monkeypatch):
+    # the loss stays finite; the check runs before the step's update
+    m = HCMSModel(tiny_config(), seed=0)
+    backward, before = m.backward, m.store.value.copy()
+
+    def poisoned(dlogits):
+        backward(dlogits)
+        m.head.b.grad[1] = bad
+
+    monkeypatch.setattr(m, "backward", poisoned)
+    with pytest.raises(DivergenceError, match=f"epoch 1, step 1: {match}"):
+        train(m, tiny_data(rng), [], TrainConfig(epochs=1, batch_size=4), DEFAULT_OPT)
+    assert m.store.value.tobytes() == before.tobytes()
 
 
 def test_predict_checks_ids_before_keying():
