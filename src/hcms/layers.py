@@ -5,8 +5,8 @@ Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. A forward keeps what its backward needs in the layer's
 _cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
 the conv block its pooled output and the batch layout of the embedding's
-distinct rows, keyed by HCMSModel.key once per corpus or batch, with no
-[B, L, d] embedding output), and the backward takes the cache and releases
+distinct rows, keyed by HCMSModel.key once per corpus, with no [B, L, d]
+embedding output), and the backward takes the cache and releases
 it, so each backward needs a fresh forward and a model is single-writer
 during training. Gradients accumulate into Parameter.grad,
 summed over the batch. Layers hold no init code: HCMSModel allocates one
@@ -186,19 +186,15 @@ class ConvBlock:
 
     # the config's length arithmetic, over the same field names
     _conv_len = ModelConfig._conv_len
-    out_len = ModelConfig.out_len
 
-    def forward(self, X, lengths=None, layout=None, taps=None):
+    def forward(self, X, lengths, layout, taps=None):
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
-        -inf before the max, so padding never wins it. layout, if given, is
+        -inf before the max, so padding never wins it. layout is
         tensor.conv1d's (rows, inv, row_ids) of X's rows (HCMSModel.classify
-        gets it), and X is read for its shape alone; without one, each
-        position of X is its own row (tensor.distinct_rows). taps, if given,
-        is the tap table of the rows inv names, built over a wider scope than
-        the batch (train.predict), and the layout's rows are not read."""
-        if layout is None:
-            layout = T.distinct_rows(X)
+        gets it), and X is read for its shape alone. taps, if given, is the
+        tap table of the rows inv names, built over a wider scope than the
+        batch (train.predict), and the layout's rows are not read."""
         R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
                             layout, taps))
         if self.global_pool:
@@ -213,9 +209,8 @@ class ConvBlock:
         return C
 
     def backward(self, dC):
-        """Returns (dX, row_ids). After a forward given a layout, dX holds one
-        row per layout row and row_ids are the layout's (see
-        tensor.conv1d_backward); otherwise dX has X's shape and row_ids is None."""
+        """Returns (dX, row_ids): dX holds one row per row of the forward's
+        layout and row_ids are the layout's (see tensor.conv1d_backward)."""
         X, R, C, pool, stride, layout = _take_cache(self)
         dR = T.maxpool1d_backward(dC, R, pool, stride, C)
         dZ = T.relu_backward(dR, R)  # R > 0 exactly where Z > 0
@@ -327,7 +322,7 @@ class DenseHead:
 class HCMSModel:
     """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
     one minibatch per classify and backward, as a conv input layout from key
-    (once per corpus: train.prepare) and conv_rows; forward does all three."""
+    (once per corpus: train.prepare) and conv_rows."""
 
     def __init__(self, config: ModelConfig, seed=0, values=None):
         """values, if given, is adopted as the store's flat value array (a
@@ -386,18 +381,6 @@ class HCMSModel:
             lengths[b] = max(n, cfg.kernel)
         return ids, lang, lengths
 
-    def forward(self, ids, lang=None, lengths=None):
-        """Class probabilities [B, n_classes] for a batch in fit_batch's layout.
-
-        One id sequence (with its [len, 4] lang one-hot or None) is the
-        B-less case: it is fitted as a batch of one and gives [n_classes].
-        """
-        if np.ndim(ids) == 1:
-            return self.forward(*self.fit_batch([(ids, lang)]))[0]
-        first, inv = self.key(ids, lang)
-        rows, row_ids = self.conv_rows(ids, lang, first)
-        return self.classify((rows, inv, row_ids), lengths)
-
     def key(self, ids, lang=None):
         """(first, inv) of a batch (or a padded corpus) in fit_batch's layout,
         from one np.unique over its keys: first [n] is the flat position where
@@ -440,8 +423,7 @@ class HCMSModel:
         return self.head.forward(G)
 
     def backward(self, dlogits):
-        """Backward from the gradient at the pre-softmax logits, [B, n_classes]
-        (or [n_classes] after a B-less forward)."""
+        """Backward from the gradient at the pre-softmax logits, [B, n_classes]."""
         dG = self.head.backward(dlogits)
         if self.attention is not None:
             dC = self.attention.backward(dG)
@@ -450,15 +432,9 @@ class HCMSModel:
         dK, row_ids = self.conv.backward(dC)
         self.embedding.backward(dK[:, :self.config.embed_dim], row_ids)
 
-    def predict(self, ids, lang=None, lengths=None):
-        """Argmax class: [B] for a batch, one int for one id sequence.
-
-        Inference runs no backward, so the layers' batch-sized caches are
-        dropped rather than held until the next forward.
-        """
-        return self._labels(self.forward(ids, lang, lengths))
-
     def _labels(self, probs):
+        """Argmax class of each row of probs. Inference runs no backward, so
+        the layers' batch-sized caches are dropped, not held to the next forward."""
         labels = np.argmax(probs, axis=-1)
         for layer in (self.conv, self.attention, self.head):
             if layer is not None:

@@ -124,7 +124,8 @@ def map_rows(n, fn, scalars):
 # equal rows gives each distinct row's first position, and a batch's rows are
 # gathered from the embedding there, so a row that repeats is one row.
 # distinct_rows(x) is the unkeyed layout of a real input, each position its
-# own row and no row ids; conv1d and conv1d_backward build it when given none.
+# own row and no row ids, which conv1d builds for a caller without a layout;
+# no model path uses it.
 #
 # The forward is a tap table, the precomputation of Devlin et al. (2014):
 # output row i is bias + sum_j x[i*stride + j] @ filters[:, j].T, and each
@@ -241,18 +242,19 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
     return out.reshape(x.shape[:-2] + (v, f))
 
 
-def conv1d_backward(dout, x, filters, stride=1, layout=None):
-    """Returns (dx, dfilters, dbias) for conv1d. After a layout with row ids,
-    dx [n, d] holds one row per layout row, in the layout's order: the summed
-    gradient of the positions that read it. Otherwise dx has x's shape.
+def conv1d_backward(dout, x, filters, stride, layout):
+    """Returns (dx, dfilters, dbias) for conv1d over layout: dx [n, d] holds
+    one row per layout row, in the layout's order, the summed gradient of the
+    positions that read it. x is not read: perfbench/tracing.py counts the
+    backward's FLOPs from its shape.
 
     The taps run in waves of one tap per thread of the threads() block: each
     tap's group sums, dfilters[:, j] and its rows' gradient part go to
     map_rows's threads, the part into a buffer of the wave, and the calling
     thread then adds the wave's parts to dx in tap order, as one thread would."""
-    dout, x = as_tensor(dout), as_tensor(x)
+    dout = as_tensor(dout)
     f, k, d = filters.shape
-    rows, inv, row_ids = layout or distinct_rows(x)
+    rows, inv, _ = layout
     g, v = dout.reshape(-1, f), dout.shape[-2]
     dx, dfilters = np.zeros((len(rows), d)), np.empty(filters.shape)
     width = min(_THREADS.get()[1], k)
@@ -270,7 +272,7 @@ def conv1d_backward(dout, x, filters, stride=1, layout=None):
         map_rows(len(js), lambda at: taps(js[at]), len(js) * (len(rows) + f) * d)
         for j in js:
             dx[reads[j]] += parts[j % width, :len(reads[j])]
-    return (dx.reshape(x.shape) if row_ids is None else dx), dfilters, g.sum(axis=0)
+    return dx, dfilters, g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""hcms.tensor plus the ops that only tests call.
+"""hcms.tensor plus the ops and model paths that only tests call.
 
 The model multiplies with `@`, computes its tanh inline and never splits a
 flat vector, so matmul, add, tanh and concat and their backward passes
@@ -10,8 +10,13 @@ pool backward that finds each window's argmax again, kept as the oracle of
 the library's, which reads it off the pooled output. conv1d and
 conv1d_backward take raw keys here, as the tests' oracles are written, and
 build the layout the library ops take with np.unique (keyed_layout), as
-HCMSModel does from its keys. make_layer builds one model layer on
-its own, its parameters drawn by the model's init table.
+HCMSModel does from its keys; without keys, every position is its own row
+and conv1d_backward's dx has x's shape. conv_forward runs a conv block on
+that unkeyed layout. forward and predict are the model's per-batch oracle:
+one batch keyed, gathered and classified on its own, or one id sequence
+fitted as a batch of one, where train.predict cuts each batch from a
+prepared corpus. make_layer builds one model layer on its own, its
+parameters drawn by the model's init table.
 """
 
 import numpy as np
@@ -75,7 +80,37 @@ def conv1d(x, filters, bias, stride=1, keys=None):
 
 def conv1d_backward(dout, x, filters, stride=1, keys=None):
     x = as_tensor(x)
-    return tensor.conv1d_backward(dout, x, filters, stride, keyed_layout(x, keys))
+    dx, dfilters, dbias = tensor.conv1d_backward(dout, x, filters, stride,
+                                                 keyed_layout(x, keys))
+    return (dx.reshape(x.shape) if keys is None else dx), dfilters, dbias
+
+
+def conv_forward(block, X, lengths=None):
+    """ConvBlock.forward on the unkeyed layout of X [..., u, d]: its backward's
+    dX then holds one row per position of X, in order."""
+    X = as_tensor(X)
+    return block.forward(X, lengths, keyed_layout(X))
+
+
+# ---------------------------------------------------------------------------
+# the model on one batch
+
+def forward(model, ids, lang=None, lengths=None):
+    """Class probabilities [B, n_classes] of a batch in HCMSModel.fit_batch's
+    layout, keyed (HCMSModel.key), gathered (conv_rows) and classified on its
+    own. One id sequence (with its [len, 4] lang one-hot or None) is the
+    B-less case: it is fitted as a batch of one and gives [n_classes]."""
+    if np.ndim(ids) == 1:
+        return forward(model, *model.fit_batch([(ids, lang)]))[0]
+    first, inv = model.key(ids, lang)
+    rows, row_ids = model.conv_rows(ids, lang, first)
+    return model.classify((rows, inv, row_ids), lengths)
+
+
+def predict(model, ids, lang=None, lengths=None):
+    """Argmax class of forward: [B] for a batch, one int for one id sequence;
+    the layers' caches are dropped, as train.predict drops them."""
+    return model._labels(forward(model, ids, lang, lengths))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hcms.train import (AdamState, OptimizerConfig, Parameter, TrainConfig,
                         evaluate, load_checkpoint, prepare, save_checkpoint,
                         train)
 from conftest import assert_close, central_diff
-from extra_ops import cross_entropy_backward, make_layer
+from extra_ops import cross_entropy_backward, forward, make_layer
 from test_corpus import _random_records
 from test_layers import attention_oracle
 from test_metrics import oracle as metrics_oracle
@@ -119,14 +119,14 @@ def test_gradient_suite():
         y = np.zeros(3)
         y[trial % 3] = 1
         m.zero_grad()
-        m.backward(cross_entropy_softmax_grad(y, m.forward(ids)))
+        m.backward(cross_entropy_softmax_grad(y, forward(m, ids)))
         for name, par in m.parameters().items():
             grad = par.grad.copy()
 
             def f(a_, par=par):
                 saved = par.value.copy()
                 par.value[...] = a_
-                out = cross_entropy(y, m.forward(ids))
+                out = cross_entropy(y, forward(m, ids))
                 par.value[...] = saved
                 return out
 

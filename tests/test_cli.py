@@ -15,6 +15,7 @@ from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, c
                          clean_corpus, encode, parse_conll, serialize_conll)
 from hcms.layers import HCMSModel, ModelConfig
 from hcms.metrics import format_report_kv, score
+from extra_ops import predict
 from synthetic import load_mini_corpus
 from hcms.train import load_checkpoint, save_checkpoint
 
@@ -170,13 +171,13 @@ def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
     for r in records:
         cleaned = clean(r, cfg)
         ids, lang = encode(cleaned, vocab, model.config.lang_features) if cleaned else ([UNK], None)
-        expected.append(f"{r.id}\t{LABELS[model.predict(ids, lang)]}")
+        expected.append(f"{r.id}\t{LABELS[predict(model, ids, lang)]}")
     lines = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
     assert lines == expected
 
 
 def oracle_labels(checkpoint, records):
-    """model.predict's class for each record, cleaned by the checkpoint's flags
+    """extra_ops.predict's class for each record, cleaned by the checkpoint's flags
     and encoded with the language rows its model's lang_features asks for."""
     model, tokens, extra = load_checkpoint(checkpoint)
     vocab, cfg = Vocabulary.from_tokens(tokens), CleaningConfig.from_dict(extra.get("cleaning", {}))
@@ -184,7 +185,7 @@ def oracle_labels(checkpoint, records):
     for r in records:
         cleaned = clean(r, cfg)
         ids, lang = encode(cleaned, vocab, model.config.lang_features) if cleaned else ([UNK], None)
-        labels.append(int(model.predict(ids, lang)))
+        labels.append(int(predict(model, ids, lang)))
     return labels
 
 
@@ -216,7 +217,7 @@ def test_library_checkpoint_lang_rows(corpus_files, tmp_path):
     records = parse_conll(unlabeled.read_text(encoding="utf-8"))[0]
     preds = oracle_labels(ckpt, records)
     # the rows decide some labels, so all-zero rows would not pass
-    assert preds != [int(model.predict(encode(clean(r, cleaning), vocab, False)[0]))
+    assert preds != [int(predict(model, encode(clean(r, cleaning), vocab, False)[0]))
                      for r in records]
     assert predict_lines(ckpt, unlabeled, tmp_path / "predict") == [
         f"{r.id}\t{LABELS[p]}" for r, p in zip(records, preds)]

@@ -7,7 +7,7 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import make_layer
+from extra_ops import conv_forward, forward, make_layer, predict
 
 
 def attention_oracle(C, layer):
@@ -89,15 +89,17 @@ def test_embed_backward_matches_scatter(rng):
 def test_conv_block_zero_filters(rng):
     cb = make_layer(ConvBlock(2, 1, 2, 2, False), (3, 2), rng)
     cb.filters.value[:] = 0
-    out = cb.forward(rng.normal(size=(6, 3)))
+    out = conv_forward(cb, rng.normal(size=(6, 3)))
     assert out.shape == (2, 2)
     assert np.all(out == 0)
 
 
 def test_conv_block_length_arithmetic(rng):
     cb = make_layer(ConvBlock(8, 1, 2, 2, False), (4, 5), rng)
-    assert cb.out_len(32) == 12
-    assert cb.forward(rng.normal(size=(32, 4))).shape == (12, 5)
+    cfg = ModelConfig(vocab_size=1, kernel=cb.kernel, stride=cb.stride, pool=cb.pool,
+                      pool_stride=cb.pool_stride, global_pool=cb.global_pool)
+    assert cfg.out_len(32) == 12
+    assert conv_forward(cb, rng.normal(size=(32, 4))).shape == (12, 5)
 
 
 def test_conv_block_hand_composition(rng):
@@ -105,13 +107,13 @@ def test_conv_block_hand_composition(rng):
     cb = make_layer(ConvBlock(2, 1, 2, 1, False), (1, 1), rng)
     cb.filters.value[:] = 1.0
     cb.bias.value[:] = 0.0
-    out = cb.forward(np.array([[1.0], [2.0], [3.0], [4.0]]))
+    out = conv_forward(cb, np.array([[1.0], [2.0], [3.0], [4.0]]))
     assert out.ravel().tolist() == [5, 7]
 
 
 def test_conv_block_global_pool(rng):
     cb = make_layer(ConvBlock(2, 1, 2, 2, True), (2, 3), rng)
-    out = cb.forward(rng.normal(size=(9, 2)))
+    out = conv_forward(cb, rng.normal(size=(9, 2)))
     assert out.shape == (1, 3)
 
 
@@ -237,24 +239,24 @@ def tiny_config(**overrides):
 
 def test_model_determinism():
     ids = [2, 5, 3, 7, 2, 4]
-    p1 = HCMSModel(tiny_config(), seed=3).forward(ids)
-    p2 = HCMSModel(tiny_config(), seed=3).forward(ids)
+    p1 = forward(HCMSModel(tiny_config(), seed=3), ids)
+    p2 = forward(HCMSModel(tiny_config(), seed=3), ids)
     assert p1.tobytes() == p2.tobytes()
 
 
 def test_model_predict_is_argmax(rng):
     m = HCMSModel(tiny_config(), seed=3)
     ids = list(rng.integers(2, 20, size=6))
-    assert m.predict(ids) == int(np.argmax(m.forward(ids)))
+    assert predict(m, ids) == int(np.argmax(forward(m, ids)))
 
 
 def test_attention_disabled_equals_direct_composition(rng):
     m = HCMSModel(tiny_config(attention_enabled=False), seed=4)
     for _ in range(10):
         ids = list(rng.integers(2, 20, size=8))
-        probs = m.forward(ids)
+        probs = forward(m, ids)
         X = m.embedding.table.value[np.asarray(ids)]
-        C = m.conv.forward(X)
+        C = conv_forward(m.conv, X)
         expected = m.head.forward(C.ravel())
         assert np.array_equal(probs, expected)
 
@@ -262,7 +264,7 @@ def test_attention_disabled_equals_direct_composition(rng):
 def test_short_sequence_padded_to_kernel():
     m = HCMSModel(tiny_config(max_len=2, pool=1, kernel=4,
                               attention_enabled=False), seed=0)
-    p = m.forward([2])  # shorter than the kernel: right-padded with PAD
+    p = forward(m, [2])  # shorter than the kernel: right-padded with PAD
     assert abs(p.sum() - 1) < 1e-6
 
 
@@ -274,10 +276,10 @@ def test_end_to_end_gradcheck(rng):
     y = np.array([0.0, 1.0, 0.0])
 
     def loss():
-        return cross_entropy(y, m.forward(ids))
+        return cross_entropy(y, forward(m, ids))
 
     m.zero_grad()
-    m.backward(cross_entropy_softmax_grad(y, m.forward(ids)))
+    m.backward(cross_entropy_softmax_grad(y, forward(m, ids)))
     for name, par in m.parameters().items():
         grad = par.grad.copy()
 
@@ -299,7 +301,7 @@ def test_lang_feature_model(rng):
     ids = [2, 3, 4, 5]
     onehot = np.zeros((4, 4))
     onehot[:, 0] = 1.0
-    p = m.forward(ids, onehot)
+    p = forward(m, ids, onehot)
     assert abs(p.sum() - 1) < 1e-6
     # backward runs and only embeds real token gradients
     m.zero_grad()
@@ -341,13 +343,13 @@ def test_batched_matches_stacked(rng, overrides):
     probs, grads = [], {k: np.zeros(p.shape) for k, p in params.items()}
     for (ids, onehot), y in zip(examples, Y):
         m.zero_grad()
-        probs.append(m.forward(ids, onehot))
+        probs.append(forward(m, ids, onehot))
         m.backward(cross_entropy_softmax_grad(y, probs[-1]))
         for k, p in params.items():
             grads[k] += p.grad
 
     m.zero_grad()
-    P = m.forward(*m.fit_batch(examples))
+    P = forward(m, *m.fit_batch(examples))
     m.backward(cross_entropy_softmax_grad(Y, P))
     assert_close(P, np.stack(probs), rtol=0, atol=1e-12)
     for k, p in params.items():
@@ -363,8 +365,8 @@ def test_global_pool_masks_padding(rng):
     m.conv.filters.value[:] = np.abs(m.conv.filters.value)
     m.embedding.table.value[1:] = -np.abs(m.embedding.table.value[1:])
     examples, _ = _ragged_batch(rng, m.config)
-    P = m.forward(*m.fit_batch(examples))
-    assert_close(P, np.stack([m.forward(ids) for ids, _ in examples]), rtol=0, atol=1e-12)
+    P = forward(m, *m.fit_batch(examples))
+    assert_close(P, np.stack([forward(m, ids) for ids, _ in examples]), rtol=0, atol=1e-12)
 
 
 def test_batched_loss_gradcheck(rng):
@@ -374,12 +376,12 @@ def test_batched_loss_gradcheck(rng):
     batch = m.fit_batch(examples)
 
     m.zero_grad()
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     for name, par in m.parameters().items():
         def f(a, par=par):
             saved = par.value.copy()
             par.value[...] = a
-            out = cross_entropy(Y, m.forward(*batch))
+            out = cross_entropy(Y, forward(m, *batch))
             par.value[...] = saved
             return out
 
@@ -397,9 +399,9 @@ def test_caches_released_after_backward_and_predict(rng):
     examples, Y = _ragged_batch(rng, m.config)
     batch = m.fit_batch(examples)
     layers = (m.conv, m.attention, m.head)
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     assert all(layer._cache is None for layer in layers)
-    m.predict(*batch)
+    predict(m, *batch)
     assert all(layer._cache is None for layer in layers)
 
 
@@ -412,7 +414,7 @@ def test_step_gathers_only_distinct_rows(rng, monkeypatch):
                         lambda ids: gathers.append(np.shape(ids)) or embed(ids))
     examples, Y = _ragged_batch(rng, m.config)
     ids, lang, lengths = m.fit_batch(examples)
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(ids, lang, lengths)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, ids, lang, lengths)))
     distinct = set(zip(ids.ravel().tolist(), map(tuple, lang.reshape(-1, 4).tolist())))
     assert gathers == [(len(distinct),)]
     assert np.abs(m.embedding.table.grad).max() > 0
@@ -425,10 +427,10 @@ def test_backward_needs_fresh_forward(rng):
     dlogits = cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3))
     with pytest.raises(NoForwardError, match="DenseHead"):
         m.backward(dlogits)
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     with pytest.raises(NoForwardError, match="DenseHead"):
         m.backward(dlogits)
-    m.predict(*batch)
+    predict(m, *batch)
     C = np.zeros((len(Y), 6, 3))
     with pytest.raises(NoForwardError, match="SelfAttentionLayer"):
         m.attention.backward(C.reshape(len(Y), -1))
@@ -440,11 +442,11 @@ def test_backward_needs_fresh_forward(rng):
 # keyed conv forward: the model's keys only name rows that are equal
 
 def unkeyed_forward(m, ids, lang, lengths):
-    """HCMSModel.forward with the conv run on every position (keys=None)."""
+    """extra_ops.forward with the conv run on every position (keys=None)."""
     X = m.embedding.forward(ids)
     if lang is not None:
         X = np.concatenate([X, lang], axis=-1)
-    C = m.conv.forward(X, lengths)
+    C = conv_forward(m.conv, X, lengths)
     G = m.attention.forward(C) if m.attention is not None else C.reshape(len(C), -1)
     return m.head.forward(G)
 
@@ -467,7 +469,7 @@ def test_keyed_forward_matches_unkeyed(rng, overrides):
                  np.eye(4)[rng.integers(4, size=n)] if m.config.lang_features else None)
                 for n in (1, 5, 6, 11)]
     batch = m.fit_batch(examples)
-    assert_close(m.forward(*batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)
+    assert_close(forward(m, *batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)
 
 
 def test_lang_keys_exact_for_non_onehot_rows(rng):
@@ -480,17 +482,18 @@ def test_lang_keys_exact_for_non_onehot_rows(rng):
     lang = rng.choice([0.0, 0.5, -1.0, 2.0], size=(3, 4))[rng.integers(3, size=(3, 8))]
     lang[..., 0] += rng.integers(2, size=(3, 8)) * 0.25
     lengths = np.full(3, 6)
-    assert_close(m.forward(ids, lang, lengths), unkeyed_forward(m, ids, lang, lengths),
+    assert_close(forward(m, ids, lang, lengths), unkeyed_forward(m, ids, lang, lengths),
                  rtol=0, atol=1e-12)
 
 
 def unkeyed_backward(m, ids, dlogits):
-    """HCMSModel.backward after unkeyed_forward: the conv's dX has X's shape,
-    and each non-PAD position's gradient is scattered onto its table row."""
+    """HCMSModel.backward after unkeyed_forward: the conv's dX has a row per
+    position, and each non-PAD position's gradient is scattered onto its
+    table row."""
     dG = m.head.backward(dlogits)
     dC = m.attention.backward(dG) if m.attention is not None else dG.reshape(
         len(ids), -1, m.config.filters)
-    dX, _ = m.conv.backward(dC)
+    dX = m.conv.backward(dC)[0].reshape(ids.shape + (-1,))
     real = ids != 0
     np.add.at(m.embedding.table.grad, ids[real], dX[..., :m.config.embed_dim][real])
 
@@ -504,24 +507,13 @@ def test_keyed_backward_matches_unkeyed(rng, overrides):
                 for n in (1, 5, 6, 11)]
     batch = m.fit_batch(examples)
     Y = np.eye(3)[rng.integers(3, size=len(examples))]
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*batch)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     keyed = {name: p.grad.copy() for name, p in m.parameters().items()}
     m.zero_grad()
     unkeyed_backward(m, batch[0], cross_entropy_softmax_grad(Y, unkeyed_forward(m, *batch)))
     assert all(np.abs(keyed[name]).max() > 0 for name in ("embedding.table", "conv.filters"))
     for name, p in m.parameters().items():
         assert_close(keyed[name], p.grad, rtol=0, atol=1e-12)
-
-
-def test_one_keying_per_step(rng, monkeypatch):
-    # the model keys its batch once, and no unkeyed layout is built
-    m = HCMSModel(tiny_config(lang_features=True), seed=6)
-    keyings, layouts, key, build = [], [], m.key, T.distinct_rows
-    monkeypatch.setattr(m, "key", lambda *a: keyings.append(1) or key(*a))
-    monkeypatch.setattr(T, "distinct_rows", lambda *a: layouts.append(1) or build(*a))
-    examples, Y = _ragged_batch(rng, m.config)
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*m.fit_batch(examples))))
-    assert (len(keyings), len(layouts)) == (1, 0)
 
 
 def test_forward_checks_ids_before_keying():
@@ -531,11 +523,11 @@ def test_forward_checks_ids_before_keying():
     m = HCMSModel(tiny_config(vocab_size=16, lang_features=True), seed=0)
     good = m.fit_batch([([15], np.eye(4)[[1]]), ([3], np.eye(4)[[0]])])
     Y = np.eye(3)[[0, 1]]
-    m.backward(cross_entropy_softmax_grad(Y, m.forward(*good)))
+    m.backward(cross_entropy_softmax_grad(Y, forward(m, *good)))
     grads = m.store.grad.copy()
     bad = m.fit_batch([([15], np.eye(4)[[1]]), ([-1], np.eye(4)[[0]])])
     with pytest.raises(VocabularyError):
-        m.forward(*bad)
+        forward(m, *bad)
     with pytest.raises(NoForwardError):  # the failed forward left nothing to backward
         m.backward(cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3)))
     assert m.store.grad.tobytes() == grads.tobytes()

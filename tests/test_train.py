@@ -18,7 +18,7 @@ from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         _chunks, load_checkpoint, predict, prepare, save_checkpoint,
                         train)
 from conftest import assert_close
-from extra_ops import cross_entropy_backward
+from extra_ops import cross_entropy_backward, forward, predict as model_predict
 
 DEFAULT_OPT = OptimizerConfig(lr=0.01, beta1=0.9, beta2=0.99, epsilon=1e-7)
 
@@ -231,12 +231,12 @@ def test_single_step_decreases_loss(rng):
         label = int(rng.integers(3))
         y = np.zeros(3)
         y[label] = 1
-        before = cross_entropy(y, m.forward(ids))
+        before = cross_entropy(y, forward(m, ids))
         m.zero_grad()
-        m.backward(cross_entropy_softmax_grad(y, m.forward(ids)))
+        m.backward(cross_entropy_softmax_grad(y, forward(m, ids)))
         for p in m.parameters().values():
             adam_step(p, AdamState(p), OptimizerConfig(lr=1e-4))
-        after = cross_entropy(y, m.forward(ids))
+        after = cross_entropy(y, forward(m, ids))
         assert after < before
 
 
@@ -257,7 +257,7 @@ def test_padding_invariance_global_pool(rng):
 
     def embed_grad(padded_ids):
         m.zero_grad()
-        probs = m.forward(padded_ids)
+        probs = forward(m, padded_ids)
         m.backward(cross_entropy_softmax_grad(y, probs))
         return m.embedding.table.grad[1:].copy()  # non-PAD rows
 
@@ -300,12 +300,13 @@ def test_gathered_batches_match_fit_batch(rng, overrides):
 
 def test_train_pads_each_corpus_once(rng, monkeypatch):
     # the training set and the val set once per run, whatever the epochs; no
-    # step or validation pass pads or keys
-    calls, keyings = [], []
-    fit, key = HCMSModel.fit_batch, HCMSModel.key
+    # step or validation pass pads or keys, and none builds an unkeyed layout
+    calls, keyings, layouts = [], [], []
+    fit, key, build = HCMSModel.fit_batch, HCMSModel.key, T.distinct_rows
     monkeypatch.setattr(HCMSModel, "fit_batch",
                         lambda self, examples: calls.append(len(examples)) or fit(self, examples))
     monkeypatch.setattr(HCMSModel, "key", lambda self, *a: keyings.append(1) or key(self, *a))
+    monkeypatch.setattr(T, "distinct_rows", lambda *a: layouts.append(1) or build(*a))
     for epochs in (1, 3):
         calls.clear()
         keyings.clear()
@@ -314,6 +315,7 @@ def test_train_pads_each_corpus_once(rng, monkeypatch):
               TrainConfig(epochs=epochs, batch_size=4), DEFAULT_OPT)
         assert calls == [10, 6]
         assert len(keyings) == 2
+        assert layouts == []
 
 
 @pytest.mark.parametrize("where", ["last_train_batch", "val"])
@@ -362,8 +364,8 @@ def test_predict_matches_per_batch_model_predict(rng, overrides, monkeypatch):
     want, want_probs = [], []
     for start in range(0, len(data), batch_size):
         batch = m.fit_batch([ex[:2] for ex in data[start:start + batch_size]])
-        want += m.predict(*batch).tolist()
-        want_probs.append(m.forward(*batch))
+        want += model_predict(m, *batch).tolist()
+        want_probs.append(forward(m, *batch))
     assert got == want
     # OpenBLAS may round a row differently in a product of a few rows
     np.testing.assert_allclose(got_probs, np.concatenate(want_probs), rtol=0, atol=1e-12)
@@ -620,7 +622,7 @@ def test_checkpoint_roundtrip_bit_exact(rng, tmp_path):
     for k, p in m.parameters().items():
         assert p.value.tobytes() == m2.parameters()[k].value.tobytes()
     ids = [2, 3, 4, 5, 6]
-    assert m.forward(ids).tobytes() == m2.forward(ids).tobytes()
+    assert forward(m, ids).tobytes() == forward(m2, ids).tobytes()
 
 
 def test_checkpoint_save_is_deterministic(rng, tmp_path):
