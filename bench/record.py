@@ -1,7 +1,7 @@
 """Paired benchmark record: perfbench/run.py on HEAD and on this checkout's
 working tree, in alternating pairs over seeds, written to BENCH_<n>.json.
 
-    python3 bench/record.py [--seeds N] [--traced N]
+    python3 bench/record.py [--seeds N] [--traced N] [--suite-pairs N]
 
 HEAD is the base, so uncommitted work is measured against the commit it
 sits on. Its committed files are exported with `git archive` into a
@@ -19,8 +19,12 @@ metrics; with --traced N each side also makes N traced runs per workload
 since a single traced run swings by up to about 20%. The record holds every
 run's values, and per metric the median and quartiles of each side, the
 median of the paired ratios change / base, and the pairs the change won by
-the metric's direction. It is printed and written to the next free
-BENCH_<n>.json at the repository's root.
+the metric's direction. Then, in --suite-pairs alternating pairs (base first
+when i is even), each side times the whole test suite (`python -m pytest
+-q`) and the tiny-regime test alone; every run's seconds and exit code are
+kept beside the same summary. These timings are for information: the
+benchmark gates on none of them. The record is printed and written to the
+next free BENCH_<n>.json at the repository's root.
 """
 
 import argparse
@@ -38,6 +42,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 CODE = ("src", "perfbench", "bench")  # the code the runs execute, and this recorder
+# pytest runs timed on each side: the tier-1 suite, and its slowest test, which
+# trains 20 tiny models one example at a time (Python overhead, not BLAS)
+SUITES = {"tier1": ["-m", "pytest", "-q"],
+          "ablation_direction": ["-m", "pytest", "-q",
+                                 "tests/test_acceptance.py::test_ablation_direction"]}
 
 NOTES = [
     "layers.embedding.bwd_examples counts one per batch since dabd4a3 (the "
@@ -76,6 +85,11 @@ NOTES = [
     "layers.attention.fwd_* (and tensor.conv1d_ms, tensor.conv1d_gflop_per_s) "
     "are wall times of work spread over several threads; do not compare them "
     "across that change.",
+    "Predict cleans each record lazily inside encode_corpus since cmd_predict "
+    "calls encode_corpus(clean_corpus(...)) with clean_corpus a generator, so "
+    "the hcms.corpus.clean spans nest in encode_corpus: on predict-default "
+    "corpus.encode_ms includes the cleaning time that corpus.clean_ms also "
+    "counts. Do not compare corpus.encode_ms across that change.",
 ]
 
 
@@ -104,6 +118,14 @@ def run_perfbench(tree, workload, seed, traced):
         sys.exit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}:\n"
                  f"{proc.stderr[-2000:]}")
     return parse_run(proc.stdout)
+
+
+def time_suite(tree, args):
+    """{"seconds", "exit"} of one `python <args>` run in tree."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=tree, capture_output=True,
+                          timeout=3600)
+    return {"seconds": time.perf_counter() - t0, "exit": proc.returncode}
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +166,29 @@ def aggregate(pairs, metrics):
     return out
 
 
+def summarize_suite(pairs):
+    """compare() of the seconds of pairs [(base_run, change_run)] of time_suite
+    results, with every run's exit code."""
+    return {**compare([b["seconds"] for b, _ in pairs], [c["seconds"] for _, c in pairs],
+                      "lower"),
+            "base_exit": [b["exit"] for b, _ in pairs],
+            "change_exit": [c["exit"] for _, c in pairs]}
+
+
+def format_row(group, name, s):
+    ratio = "n/a" if s["ratio_median"] is None else f"{s['ratio_median']:.3f}"
+    return (f"{group:<16} {name:<36} base {s['base_median']:.4g} "
+            f"[{s['base_q1']:.4g}, {s['base_q3']:.4g}]  change {s['change_median']:.4g} "
+            f"[{s['change_q1']:.4g}, {s['change_q3']:.4g}]  ratio {ratio}  "
+            f"wins {s['wins']}/{s['pairs']} ({s['better']} is better)")
+
+
 def format_table(record):
-    rows = []
-    for workload, groups in record["workloads"].items():
-        for group in groups.values():
-            for name, s in group.items():
-                ratio = "n/a" if s["ratio_median"] is None else f"{s['ratio_median']:.3f}"
-                rows.append(
-                    f"{workload:<16} {name:<36} base {s['base_median']:.4g} "
-                    f"[{s['base_q1']:.4g}, {s['base_q3']:.4g}]  change {s['change_median']:.4g} "
-                    f"[{s['change_q1']:.4g}, {s['change_q3']:.4g}]  ratio {ratio}  "
-                    f"wins {s['wins']}/{s['pairs']} ({s['better']} is better)")
+    rows = [format_row(workload, name, s)
+            for workload, groups in record["workloads"].items()
+            for group in groups.values() for name, s in group.items()]
+    rows += [format_row("suite seconds", name, s) + f"  exits base {s['base_exit']} "
+             f"change {s['change_exit']}" for name, s in record.get("suites", {}).items()]
     return "\n".join(rows)
 
 
@@ -198,6 +232,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=10, help="pairs per workload")
     ap.add_argument("--traced", type=int, default=0, help="traced runs per side and workload")
+    ap.add_argument("--suite-pairs", type=int, default=5,
+                    help="alternating pairs of test-suite timings (information only)")
     args = ap.parse_args(argv)
     out = next_bench_path(ROOT)
 
@@ -211,8 +247,9 @@ def main(argv=None):
     seeds = list(range(1, args.seeds + 1))
     record = {"base": base, "change": change, "machine": None,
               "settings": {"seeds": seeds, "seconds": SPEC["run_seconds"],
-                           "traced": args.traced, "order": "base first on even pairs"},
-              "workloads": {}, "notes": NOTES}
+                           "traced": args.traced, "suite_pairs": args.suite_pairs,
+                           "order": "base first on even pairs"},
+              "workloads": {}, "suites": {}, "notes": NOTES}
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="hcms-bench-") as tmp:
         export(head, tmp)
@@ -237,6 +274,18 @@ def main(argv=None):
                     [pair(i, workload, seeds[0], True) for i in range(args.traced)],
                     SPEC["per_layer"])
             record["workloads"][workload] = groups
+        suite_runs = {name: [] for name in SUITES}
+        for i in range(args.suite_pairs):
+            for name, suite in SUITES.items():
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                runs = {side: time_suite(sides[side], suite) for side in order}
+                print(f"{name} pair {i} " + " ".join(
+                    f"{side}={run['seconds']:.1f}s exit {run['exit']}"
+                    for side, run in runs.items()), file=sys.stderr)
+                suite_runs[name].append((runs["base"], runs["change"]))
+        if args.suite_pairs:
+            record["suites"] = {name: summarize_suite(pairs)
+                                for name, pairs in suite_runs.items()}
     record["settings"]["elapsed_s"] = round(time.perf_counter() - t0, 1)
 
     changed = [d for d in CODE if change["trees"][d] != base["trees"][d]]

@@ -16,10 +16,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .corpus import (UNK, CleaningConfig, ConllParseError, LABELS, Vocabulary,
-                     build_vocab, clean, clean_corpus, corpus_stats, encode,
-                     encode_corpus, format_stats, format_stats_kv,
-                     read_conll_file, serialize_conll)
+from .corpus import (CleaningConfig, ConllParseError, LABELS, Vocabulary, build_vocab,
+                     clean_corpus, corpus_stats, encode_corpus, format_stats,
+                     format_stats_kv, read_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, DataError, DivergenceError, OptimizerConfig,
@@ -129,7 +128,7 @@ def _load_corpus(path, strict=False):
 def _cleaned(path, cleaning):
     """The cleaned labeled records of a corpus file; DataError if none."""
     records = [r for r in _load_corpus(path)[0] if r.label is not None]
-    if not (cleaned := clean_corpus(records, cleaning)[0]):
+    if not (cleaned := [r for r in clean_corpus(records, cleaning) if r is not None]):
         raise DataError(f"no labeled record in {path}")
     return cleaned
 
@@ -155,11 +154,11 @@ def _command(body):
 def cmd_preprocess(args, cfg, out):
     cleaning = CleaningConfig.from_dict(cfg)
     records, skipped = _load_corpus(args.input, strict=args.strict)
-    cleaned, dropped = clean_corpus(records, cleaning)
+    cleaned = [r for r in clean_corpus(records, cleaning) if r is not None]
     (out / "cleaned.conll").write_text(serialize_conll(cleaned), encoding="utf-8")
     report = [f"parsed_records = {len(records)}",
               f"skipped_blocks = {len(skipped)}",
-              f"dropped_empty_after_cleaning = {dropped}"]
+              f"dropped_empty_after_cleaning = {len(records) - len(cleaned)}"]
     report += [f"skipped_line_{s['line']} = {s['reason']}" for s in skipped]
     (out / "skip_report.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
 
@@ -213,12 +212,10 @@ def cmd_eval(args, cfg, out):
 @_command
 def cmd_predict(args, cfg, out):
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    names, data, memo = [], [], {}  # each distinct token cleaned once
-    for rec in _load_corpus(args.input)[0]:  # records and memo freed before predict
-        names.append(rec.id)
-        data.append(([UNK], None) if (cleaned := clean(rec, cleaning, memo)) is None
-                    else encode(cleaned, vocab, model.config.lang_features))
-    del memo
+    records = _load_corpus(args.input)[0]
+    names = [rec.id for rec in records]
+    data = encode_corpus(clean_corpus(records, cleaning), vocab, model.config.lang_features)
+    del records  # freed before predict
     preds = predict(model, prepare(model, data), cfg["batch_size"])
     text = "".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds))
     (out / "predictions.tsv").write_text(text, encoding="utf-8")

@@ -261,15 +261,11 @@ def clean(record, cfg: CleaningConfig, memo=None):
 
 
 def clean_corpus(records, cfg: CleaningConfig):
-    """Clean every record; returns (cleaned_records, dropped_count)."""
-    cleaned, dropped, memo = [], 0, {}
+    """Yield clean(rec, cfg) for every record, in order: None where no token
+    survives. One memo per call cleans each distinct raw token once."""
+    memo = {}
     for rec in records:
-        out = clean(rec, cfg, memo)
-        if out is None:
-            dropped += 1
-        else:
-            cleaned.append(out)
-    return cleaned, dropped
+        yield clean(rec, cfg, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +323,13 @@ def encode(record, vocab, lang_features):
 
 
 def encode_corpus(records, vocab, lang_features):
-    """Encode records into (ids, lang, label_index) triples for training.
-    Labels are read as parse_conll reads them; RecordError for one that
-    names no label."""
-    return [(*encode(rec, vocab, lang_features),
-             None if rec.label is None
-             else _known(_label_position(rec.label), rec.label, "sentiment label"))
+    """Encode records into (ids, lang, label_index) triples. A None (a record
+    that cleaned to nothing) encodes as ([UNK], None, None). Labels are read
+    as parse_conll reads them; RecordError for one that names no label."""
+    return [([UNK], None, None) if rec is None
+            else (*encode(rec, vocab, lang_features),
+                  None if rec.label is None
+                  else _known(_label_position(rec.label), rec.label, "sentiment label"))
             for rec in records]
 
 

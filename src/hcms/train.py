@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .corpus import CleaningConfig
+from .corpus import LABELS, CleaningConfig
 from .layers import ConfigError, HCMSModel, ModelConfig, check_field_types
 from .metrics import score
 from .tensor import Parameter
@@ -264,7 +264,7 @@ def evaluate(model, corpus, batch_size=TrainConfig.batch_size):
 
 
 def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
-          ocfg: OptimizerConfig, log_fn=None):
+          ocfg: OptimizerConfig):
     """Train the model; returns the per-epoch log (list of dicts).
 
     Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
@@ -322,8 +322,6 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
                     best_f1 = report.weighted_f1
                     best_snapshot = store.value.copy()
             log.append(entry)
-            if log_fn:
-                log_fn(entry)
     if best_snapshot is not None:
         store.value[...] = best_snapshot
     if not np.isfinite(store.value).all():
@@ -401,6 +399,8 @@ def _restore(header, fh, n_values):
     if not isinstance(extra, dict) or not isinstance(extra.get("cleaning", {}), dict):
         raise CheckpointCorruptError("extra and extra.cleaning must be JSON objects")
     check_field_types(CleaningConfig.from_dict(extra.get("cleaning", {})))
+    if extra.get("labels", list(LABELS)) != list(LABELS):  # the head's class order
+        raise CheckpointCorruptError(f"extra.labels {extra['labels']!r} is not {list(LABELS)}")
     config = ModelConfig.from_dict(header["config"])
     config.validate()
     # checked before the model is built, so the header's sizes are never allocated

@@ -189,7 +189,7 @@ def test_overfit_bundled_corpus():
     records = load_mini_corpus()
     assert len(records) == 60
     cleaning = CleaningConfig()
-    cleaned, _ = clean_corpus(records, cleaning)
+    cleaned = [r for r in clean_corpus(records, cleaning) if r is not None]
     vocab = build_vocab(cleaned)
     data = encode_corpus(cleaned, vocab, False)
     cfg = ModelConfig(vocab_size=len(vocab), embed_dim=32, filters=32,

@@ -80,6 +80,28 @@ def test_preprocess(corpus_files, tmp_path):
     assert not skipped and records
 
 
+def test_each_distinct_token_cleaned_once_per_file(corpus_files, trained, tmp_path,
+                                                   monkeypatch):
+    calls, clean_token = [], hcms.corpus._clean_token
+    monkeypatch.setattr(hcms.corpus, "_clean_token",
+                        lambda tok, cfg: calls.append(tok) or clean_token(tok, cfg))
+    files = {name: corpus_files / f"{name}.conll"
+             for name in ("train", "val", "test", "unlabeled")}
+    ckpt = trained / "model.ckpt"
+    runs = [(["preprocess", "--input", files["train"]], ["train"]),
+            (["eval", "--checkpoint", ckpt, "--input", files["test"]], ["test"]),
+            (["predict", "--checkpoint", ckpt, "--input", files["unlabeled"]], ["unlabeled"]),
+            (["train", "--train", files["train"], "--val", files["val"], *FAST],
+             ["train", "val"])]
+    for i, (argv, read) in enumerate(runs):
+        tokens = [[t for r in parse_conll(files[name].read_text(encoding="utf-8"))[0]
+                   for t in r.tokens] for name in read]
+        assert all(len(set(toks)) < len(toks) for toks in tokens)  # tokens repeat
+        calls.clear()
+        assert main([*map(str, argv), "--out-dir", str(tmp_path / str(i))]) == 0
+        assert sorted(calls) == sorted(t for toks in tokens for t in set(toks))
+
+
 def test_train_outputs(trained):
     assert (trained / "model.ckpt").exists()
     assert (trained / "epochs.log").exists()
@@ -208,7 +230,8 @@ def test_library_checkpoint_lang_rows(corpus_files, tmp_path):
     # saved with no extra, so no cleaning flag is recorded: eval and predict
     # encode language rows because the model's config has lang_features
     cleaning = CleaningConfig()
-    vocab = build_vocab(clean_corpus(load_mini_corpus()[:40], cleaning)[0])
+    vocab = build_vocab([r for r in clean_corpus(load_mini_corpus()[:40], cleaning)
+                         if r is not None])
     model = HCMSModel(ModelConfig(vocab_size=len(vocab), embed_dim=12, filters=6, kernel=3,
                                   attn_hidden=6, max_len=16, lang_features=True), seed=0)
     ckpt = tmp_path / "lib.ckpt"
@@ -221,8 +244,8 @@ def test_library_checkpoint_lang_rows(corpus_files, tmp_path):
                      for r in records]
     assert predict_lines(ckpt, unlabeled, tmp_path / "predict") == [
         f"{r.id}\t{LABELS[p]}" for r, p in zip(records, preds)]
-    labeled = clean_corpus(parse_conll((corpus_files / "test.conll").read_text(
-        encoding="utf-8"))[0], cleaning)[0]
+    labeled = [r for r in clean_corpus(parse_conll((corpus_files / "test.conll").read_text(
+        encoding="utf-8"))[0], cleaning) if r is not None]
     report = score([LABELS.index(r.label) for r in labeled], oracle_labels(ckpt, labeled), 3)
     code = main(["eval", "--checkpoint", str(ckpt), "--input", str(corpus_files / "test.conll"),
                  "--out-dir", str(tmp_path / "eval")])
@@ -304,12 +327,16 @@ CORRUPT_HEADERS = {
     "cleaning_flag_string": lambda h: h["extra"]["cleaning"].update(lowercase="false"),
     # rejected before a model with a terabyte-sized embedding table is built
     "vocab_size_huge": lambda h: h["config"].update(vocab_size=10 ** 12),
+    # the head's classes are in LABELS order; other names would be misread
+    "labels_swapped": lambda h: h["extra"].update(labels=["negative", "positive", "neutral"]),
+    "labels_not_a_list": lambda h: h["extra"].update(labels="garbage"),
 }
 
 
-def predict_with_header(corpus_files, checkpoint, tmp_path, edit):
-    """Exit code of predict on a copy of checkpoint whose header edit(header)
-    changed. The header is rewritten with its new length; the data stay."""
+def run_with_header(corpus_files, checkpoint, tmp_path, edit, command="predict"):
+    """Exit code of predict (or eval) on a copy of checkpoint whose header
+    edit(header) changed. The header is rewritten with its new length; the
+    data stay."""
     raw = checkpoint.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + hlen])
@@ -318,24 +345,30 @@ def predict_with_header(corpus_files, checkpoint, tmp_path, edit):
     tmp_path.mkdir(exist_ok=True)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + hlen:])
-    return main(["predict", "--checkpoint", str(bad),
-                 "--input", str(corpus_files / "unlabeled.conll"),
+    inputs = {"predict": "unlabeled.conll", "eval": "test.conll"}
+    return main([command, "--checkpoint", str(bad),
+                 "--input", str(corpus_files / inputs[command]),
                  "--out-dir", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("corrupt", CORRUPT_HEADERS.values(), ids=CORRUPT_HEADERS)
 def test_corrupt_header_exit_code(corpus_files, trained, tmp_path, corrupt):
-    assert predict_with_header(corpus_files, trained / "model.ckpt", tmp_path,
-                               corrupt) == 4
+    assert run_with_header(corpus_files, trained / "model.ckpt", tmp_path, corrupt) == 4
+
+
+@pytest.mark.parametrize("edit", ["labels_swapped", "labels_not_a_list"])
+def test_label_order_mismatch_fails_eval(corpus_files, trained, tmp_path, edit):
+    assert run_with_header(corpus_files, trained / "model.ckpt", tmp_path,
+                           CORRUPT_HEADERS[edit], "eval") == 4
 
 
 def test_include_self_false_exit_code(corpus_files, trained_global_self, tmp_path):
     # include_self=false keeps the manifest but leaves attention one position;
     # as a run config, the same settings exit 5
     ckpt = trained_global_self / "model.ckpt"
-    assert predict_with_header(corpus_files, ckpt, tmp_path / "same", lambda h: None) == 0
-    assert predict_with_header(corpus_files, ckpt, tmp_path / "edit",
-                               lambda h: h["config"].update(include_self=False)) == 4
+    assert run_with_header(corpus_files, ckpt, tmp_path / "same", lambda h: None) == 0
+    assert run_with_header(corpus_files, ckpt, tmp_path / "edit",
+                           lambda h: h["config"].update(include_self=False)) == 4
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow

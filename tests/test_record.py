@@ -63,6 +63,26 @@ def test_one_pair_is_its_own_quartiles():
     assert record.compare([0.0], [0.0], "lower")["ratio_median"] is None
 
 
+def test_suite_timings_keep_every_run_and_exit_code():
+    pairs = [({"seconds": b, "exit": 0}, {"seconds": c, "exit": e})
+             for b, c, e in [(50.0, 45.0, 0), (54.0, 49.0, 1), (52.0, 53.0, 0),
+                             (51.0, 47.0, 0), (55.0, 48.0, 0)]]
+    s = record.summarize_suite(pairs)
+    assert (s["base_median"], s["change_median"]) == (52.0, 48.0)
+    assert s["base"] == [50.0, 54.0, 52.0, 51.0, 55.0]
+    assert s["change"] == [45.0, 49.0, 53.0, 47.0, 48.0]
+    assert (s["base_exit"], s["change_exit"]) == ([0] * 5, [0, 1, 0, 0, 0])
+    assert (s["wins"], s["pairs"], s["better"]) == (4, 5, "lower")
+    line = record.format_table({"workloads": {}, "suites": {"tier1": s}})
+    assert line.split()[:3] == ["suite", "seconds", "tier1"]
+    assert line.endswith("exits base [0, 0, 0, 0, 0] change [0, 1, 0, 0, 0]")
+
+
+def test_time_suite_reports_the_exit_code(tmp_path):
+    run = record.time_suite(tmp_path, ["-c", "import sys; sys.exit(3)"])
+    assert run["exit"] == 3 and run["seconds"] > 0
+
+
 def test_next_bench_path(tmp_path):
     assert record.next_bench_path(tmp_path).name == "BENCH_1.json"
     for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json"):
