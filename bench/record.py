@@ -1,7 +1,7 @@
 """Paired benchmark record: perfbench/run.py on HEAD and on this checkout's
 working tree, in alternating pairs over seeds, written to BENCH_<n>.json.
 
-    python3 bench/record.py [--seeds N] [--traced N] [--suite-pairs N]
+    python3 bench/record.py [--seeds N] [--traced N]
 
 HEAD is the base, so uncommitted work is measured against the commit it
 sits on. Its committed files are exported with `git archive` into a
@@ -19,7 +19,7 @@ metrics; with --traced N each side also makes N traced runs per workload
 since a single traced run swings by up to about 20%. The record holds every
 run's values, and per metric the median and quartiles of each side, the
 median of the paired ratios change / base, and the pairs the change won by
-the metric's direction. Then, in --suite-pairs alternating pairs (base first
+the metric's direction. Then, in SUITE_PAIRS alternating pairs (base first
 when i is even), each side times the whole test suite (`python -m pytest
 -q`) and the tiny-regime test alone; every run's seconds and exit code are
 kept beside the same summary. These timings are for information: the
@@ -47,6 +47,7 @@ CODE = ("src", "perfbench", "bench")  # the code the runs execute, and this reco
 SUITES = {"tier1": ["-m", "pytest", "-q"],
           "ablation_direction": ["-m", "pytest", "-q",
                                  "tests/test_acceptance.py::test_ablation_direction"]}
+SUITE_PAIRS = 5  # alternating pairs of suite timings per side
 
 NOTES = [
     "layers.embedding.bwd_examples counts one per batch since dabd4a3 (the "
@@ -85,11 +86,16 @@ NOTES = [
     "layers.attention.fwd_* (and tensor.conv1d_ms, tensor.conv1d_gflop_per_s) "
     "are wall times of work spread over several threads; do not compare them "
     "across that change.",
-    "Predict cleans each record lazily inside encode_corpus since cmd_predict "
-    "calls encode_corpus(clean_corpus(...)) with clean_corpus a generator, so "
-    "the hcms.corpus.clean spans nest in encode_corpus: on predict-default "
+    "clean_corpus is a generator since predict makes the same corpus calls "
+    "as eval (encode_corpus(clean_corpus(...))). The tracer closes a span when "
+    "its function returns, and a generator function returns at once, so the "
+    "hcms.corpus.clean_corpus span is empty on every workload and its loop "
+    "time counts in the caller's module: cli._cleaned's list comprehension "
+    "(cli.self_ms) on train-default, encode_corpus on predict-default, where "
+    "the hcms.corpus.clean spans now nest in encode_corpus, so "
     "corpus.encode_ms includes the cleaning time that corpus.clean_ms also "
-    "counts. Do not compare corpus.encode_ms across that change.",
+    "counts. Do not compare corpus.clean_ms, corpus.self_ms, cli.self_ms or "
+    "predict-default's corpus.encode_ms across that change.",
 ]
 
 
@@ -232,8 +238,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=10, help="pairs per workload")
     ap.add_argument("--traced", type=int, default=0, help="traced runs per side and workload")
-    ap.add_argument("--suite-pairs", type=int, default=5,
-                    help="alternating pairs of test-suite timings (information only)")
     args = ap.parse_args(argv)
     out = next_bench_path(ROOT)
 
@@ -247,7 +251,7 @@ def main(argv=None):
     seeds = list(range(1, args.seeds + 1))
     record = {"base": base, "change": change, "machine": None,
               "settings": {"seeds": seeds, "seconds": SPEC["run_seconds"],
-                           "traced": args.traced, "suite_pairs": args.suite_pairs,
+                           "traced": args.traced, "suite_pairs": SUITE_PAIRS,
                            "order": "base first on even pairs"},
               "workloads": {}, "suites": {}, "notes": NOTES}
     t0 = time.perf_counter()
@@ -275,7 +279,7 @@ def main(argv=None):
                     SPEC["per_layer"])
             record["workloads"][workload] = groups
         suite_runs = {name: [] for name in SUITES}
-        for i in range(args.suite_pairs):
+        for i in range(SUITE_PAIRS):
             for name, suite in SUITES.items():
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 runs = {side: time_suite(sides[side], suite) for side in order}
@@ -283,9 +287,8 @@ def main(argv=None):
                     f"{side}={run['seconds']:.1f}s exit {run['exit']}"
                     for side, run in runs.items()), file=sys.stderr)
                 suite_runs[name].append((runs["base"], runs["change"]))
-        if args.suite_pairs:
-            record["suites"] = {name: summarize_suite(pairs)
-                                for name, pairs in suite_runs.items()}
+        record["suites"] = {name: summarize_suite(pairs)
+                            for name, pairs in suite_runs.items()}
     record["settings"]["elapsed_s"] = round(time.perf_counter() - t0, 1)
 
     changed = [d for d in CODE if change["trees"][d] != base["trees"][d]]

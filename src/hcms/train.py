@@ -191,12 +191,12 @@ Corpus = namedtuple("Corpus", "ids lang lengths first inv labels")
 
 
 def prepare(model, data):
-    """The Corpus of encoded (token_ids, lang_onehot_or_None[, label_index])
+    """The Corpus of encoded (token_ids, lang_onehot_or_None, label_index)
     examples that train, evaluate and predict batch from; keying checks the
     ids, so a bad one raises VocabularyError before any batch runs."""
     ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
     return Corpus(ids, lang, lengths, *model.key(ids, lang),
-                  [ex[2] if len(ex) > 2 else None for ex in data])
+                  [ex[2] for ex in data])
 
 
 def _chunks(model, corpus, order, batch_size, cap):

@@ -69,15 +69,21 @@ def trained_global_self(corpus_files, tmp_path_factory):
                   "--set", "global_pool=true", "--set", "include_self=true")
 
 
-def test_preprocess(corpus_files, tmp_path):
-    code = main(["preprocess", "--input", str(corpus_files / "train.conll"),
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "cleaned.conll").exists()
-    assert (tmp_path / "skip_report.txt").exists()
-    assert (tmp_path / "config.txt").exists()
-    records, skipped = parse_conll((tmp_path / "cleaned.conll").read_text(encoding="utf-8"))
-    assert not skipped and records
+def test_preprocess(tmp_path):
+    # the last record has only a mention, which cleans to nothing
+    records = load_mini_corpus()[:40]
+    empty = type(records[0])(id="empty", tokens=["@user"], lang_tags=["ENG"],
+                             label="neutral")
+    path = tmp_path / "train.conll"
+    path.write_text(serialize_conll([*records, empty]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["preprocess", "--input", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "config.txt").exists()
+    report = (out / "skip_report.txt").read_text(encoding="utf-8").splitlines()
+    assert "parsed_records = 41" in report
+    assert "dropped_empty_after_cleaning = 1" in report
+    cleaned, skipped = parse_conll((out / "cleaned.conll").read_text(encoding="utf-8"))
+    assert not skipped and [r.id for r in cleaned] == [r.id for r in records]
 
 
 def test_each_distinct_token_cleaned_once_per_file(corpus_files, trained, tmp_path,
