@@ -15,8 +15,10 @@ falls on both sides alike.
 Every workload of BENCHMARK.json runs pair i on seed i + 1 for
 BENCHMARK.json's run_seconds, and each untraced run gives the end-to-end
 metrics; with --traced N each side also makes N traced runs per workload
-(seed 1, in alternating pairs), summarised the same way over those runs,
-since a single traced run swings by up to about 20%. The record holds every
+(seed 1, in alternating pairs; an odd N is rounded up, so each side runs
+first in half the pairs, and settings.traced records the count run),
+summarised the same way over those runs, since a single traced run swings
+by up to about 20%. The record holds every
 run's values, and per metric the median and quartiles of each side, the
 median of the paired ratios change / base, and the pairs the change won by
 the metric's direction. Then, in SUITE_PAIRS alternating pairs (base first
@@ -237,8 +239,10 @@ def export(sha, dest):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, default=10, help="pairs per workload")
-    ap.add_argument("--traced", type=int, default=0, help="traced runs per side and workload")
+    ap.add_argument("--traced", type=int, default=0,
+                    help="traced runs per side and workload (rounded up to even)")
     args = ap.parse_args(argv)
+    traced = args.traced + args.traced % 2  # each side first in half the pairs
     out = next_bench_path(ROOT)
 
     head = git("rev-parse", "HEAD").strip()
@@ -251,7 +255,7 @@ def main(argv=None):
     seeds = list(range(1, args.seeds + 1))
     record = {"base": base, "change": change, "machine": None,
               "settings": {"seeds": seeds, "seconds": SPEC["run_seconds"],
-                           "traced": args.traced, "suite_pairs": SUITE_PAIRS,
+                           "traced": traced, "suite_pairs": SUITE_PAIRS,
                            "order": "base first on even pairs"},
               "workloads": {}, "suites": {}, "notes": NOTES}
     t0 = time.perf_counter()
@@ -273,9 +277,9 @@ def main(argv=None):
             record["machine"] = {k: v for k, v in pairs[-1][1]["machine"].items()
                                  if k != "git_sha"}
             groups = {"end_to_end": aggregate(pairs, SPEC["end_to_end"])}
-            if args.traced:
+            if traced:
                 groups["per_layer"] = aggregate(
-                    [pair(i, workload, seeds[0], True) for i in range(args.traced)],
+                    [pair(i, workload, seeds[0], True) for i in range(traced)],
                     SPEC["per_layer"])
             record["workloads"][workload] = groups
         suite_runs = {name: [] for name in SUITES}

@@ -2,17 +2,19 @@
 dense softmax head, and the full classifier that composes them.
 
 Layers take a leading batch axis: one forward and one backward move a
-whole minibatch. A forward keeps what its backward needs in the layer's
-_cache attribute (the attention keeps its [B, v, v, hidden] tanh tensor,
-the conv block its pooled output and the batch layout of the embedding's
-distinct rows, keyed by HCMSModel.key once per corpus, with no [B, L, d]
-embedding output), and the backward takes the cache and releases
-it, so each backward needs a fresh forward and a model is single-writer
-during training. Gradients accumulate into Parameter.grad,
-summed over the batch. Layers hold no init code: HCMSModel allocates one
-store, binds each ModelConfig.param_shapes() name (conv.filters is
-ConvBlock.filters) to a Parameter viewing it, then draws it by
-init_parameters or adopts a checkpoint's data section as it.
+whole minibatch. A forward with keep (a training step) keeps what its
+backward needs in the layer's _cache attribute (the attention keeps its
+[B, v, v, hidden] tanh tensor, the conv block its pooled output and the
+batch layout of the embedding's distinct rows, keyed by HCMSModel.key once
+per corpus, with no [B, L, d] embedding output), and the backward takes the
+cache and releases it, so each backward needs a fresh forward with keep and
+a model is single-writer during training. An inference forward, without
+keep, caches nothing and builds no tanh tensor. Gradients accumulate into
+Parameter.grad, summed over the batch.
+Layers hold no init code: HCMSModel allocates one store, binds each
+ModelConfig.param_shapes() name (conv.filters is ConvBlock.filters) to a
+Parameter viewing it, then draws it by init_parameters or adopts a
+checkpoint's data section as it.
 """
 
 import math
@@ -39,10 +41,18 @@ class VocabularyError(ValueError):
 
 
 class NoForwardError(RuntimeError):
-    """A backward without a forward since the layer's last backward."""
+    """A backward with nothing cached: no forward with keep since the layer's
+    last backward, or an inference forward after it."""
 
 
 NUM_LANG_TAGS = 4  # one-hot width for HIN/ENG/O/EMT
+
+# Bytes of the tanh scratch that each thread of an inference forward fills
+# block by block (SelfAttentionLayer._scores): half of a core's 2 MB L2
+# cache, so a block stays cached through its add, bias, tanh and W_a passes,
+# and a thread holds one block, not a [B, v, v, hidden] tensor. One example's
+# [v, v, hidden] is 200 KB at the default dims, so a block is 5 examples.
+_SCRATCH = 1 << 20
 
 
 def check_field_types(config):
@@ -187,7 +197,7 @@ class ConvBlock:
     # the config's length arithmetic, over the same field names
     _conv_len = ModelConfig._conv_len
 
-    def forward(self, X, lengths, layout, taps=None):
+    def forward(self, X, lengths, layout, taps=None, keep=True):
         """Under global pooling, lengths [B] gives each example's length in a
         batch padded to its longest; conv positions past it are masked to
         -inf before the max, so padding never wins it. layout is
@@ -205,7 +215,7 @@ class ConvBlock:
         else:
             pool, stride = self.pool, self.pool_stride
         C = T.maxpool1d(R, pool, stride)
-        self._cache = (X, R, C, pool, stride, layout)
+        self._cache = (X, R, C, pool, stride, layout) if keep else None
         return C
 
     def backward(self, dC):
@@ -235,44 +245,53 @@ class SelfAttentionLayer:
         self.include_self = include_self
         self.score_sigmoid = score_sigmoid
 
-    def _scores(self, C):
+    def _scores(self, C, keep):
         """(H, E) of context vectors C [B, v, dim]: H = tanh(c_t W_t + c_t' W_c
         + b_t) for every pair, [B, v, v, hidden], and the raw scores E = H W_a
-        + b_a, [B, v, v]. H is the model's largest array, so it is built in
-        place, example by example on tensor.map_rows's threads; forward caches
-        it and backward reuses its buffer for the gradient."""
+        + b_a, [B, v, v], computed example by example on tensor.map_rows's
+        threads. H is the model's largest array. With keep it is built whole,
+        in place, for forward to cache and backward to reuse its buffer for the
+        gradient; without keep H is None, and each thread fills its examples
+        block by block in a scratch of _SCRATCH bytes, with the same bits."""
         v, dim = C.shape[-2:]
         hidden = self.b_t.shape[0]
-        H, E = np.empty(C.shape[:-1] + (v, hidden)), np.empty(C.shape[:-1] + (v,))
+        E = np.empty(C.shape[:-1] + (v,))
+        H = np.empty(E.shape + (hidden,)) if keep else None
         # one example a row, a B-less [v, dim] input too
-        Cb, Hb, Eb = C.reshape(-1, v, dim), H.reshape(-1, v, v, hidden), E.reshape(-1, v, v)
+        Cb, Eb = C.reshape(-1, v, dim), E.reshape(-1, v, v)
+        block = max(1, _SCRATCH // (v * v * hidden * 8))
 
         def fill(at):
-            Tq = Cb[at] @ self.W_t.value  # query side
-            Kc = Cb[at] @ self.W_c.value  # key side
-            out = Hb[at]
-            np.add(Tq[:, :, None, :], Kc[:, None, :, :], out=out)
-            out += self.b_t.value
-            np.tanh(out, out=out)
-            np.add(out @ self.W_a.value[:, 0], self.b_a.value[0], out=Eb[at])
+            # keep: H's rows of the slice, one block; else one scratch block
+            out = (H.reshape(-1, v, v, hidden)[at] if keep
+                   else np.empty((min(block, at.stop - at.start), v, v, hidden)))
+            for start in range(at.start, at.stop, max(1, len(out))):
+                rows = slice(start, min(start + len(out), at.stop))
+                h = out[:rows.stop - start]
+                Tq = Cb[rows] @ self.W_t.value  # query side
+                Kc = Cb[rows] @ self.W_c.value  # key side
+                np.add(Tq[:, :, None, :], Kc[:, None, :, :], out=h)
+                h += self.b_t.value
+                np.tanh(h, out=h)
+                np.add(h @ self.W_a.value[:, 0], self.b_a.value[0], out=Eb[rows])
 
-        T.map_rows(len(Cb), fill, H.size)
+        T.map_rows(len(Cb), fill, E.size * hidden)
         return H, E
 
-    def forward(self, C):
+    def forward(self, C, keep=True):
         v = C.shape[-2]
         min_v = 1 if self.include_self else 2
         if v < min_v:
             raise AttentionDomainError(
                 f"need at least {min_v} context vectors, got {v}")
-        H, E = self._scores(C)
+        H, E = self._scores(C, keep)
         S = T.sigmoid(E) if self.score_sigmoid else E
         logits = S.copy()                # sigmoid_backward reads S itself
         if not self.include_self:
             logits[..., range(v), range(v)] = -np.inf
         Q = T.softmax(logits)            # rows sum to 1 over the attended set
         A = Q @ C                        # [B, v, dim]
-        self._cache = (C, H, S, Q)
+        self._cache = (C, H, S, Q) if keep else None
         return A.reshape(A.shape[:-2] + (-1,))
 
     def backward(self, dG):
@@ -303,8 +322,8 @@ class DenseHead:
     """Linear map to class logits plus softmax: [B, n] (or [n]) -> [B, classes],
     with W [n, classes] and b [classes]."""
 
-    def forward(self, G):
-        self._cache = G
+    def forward(self, G, keep=True):
+        self._cache = G if keep else None
         # always a matrix product, so one example gives the same bits alone
         # as in a batch
         logits = G.reshape(-1, G.shape[-1]) @ self.W.value + self.b.value
@@ -410,17 +429,18 @@ class HCMSModel:
             rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
         return rows, row_ids
 
-    def classify(self, layout, lengths, taps=None):
+    def classify(self, layout, lengths, taps=None, keep=False):
         """Class probabilities [B, n_classes] from a batch's conv input layout
         (ConvBlock.forward's layout and taps); the conv block's [B, u, d]
-        input is a zero-stride stand-in for its shape."""
+        input is a zero-stride stand-in for its shape. keep (a training step)
+        has every layer cache what backward needs; without it none does."""
         X = np.broadcast_to(0.0, layout[1].shape + self.conv.filters.shape[2:])
-        C = self.conv.forward(X, lengths, layout, taps)
+        C = self.conv.forward(X, lengths, layout, taps, keep)
         if self.attention is not None:
-            G = self.attention.forward(C)
+            G = self.attention.forward(C, keep)
         else:
             G = C.reshape(C.shape[0], -1)
-        return self.head.forward(G)
+        return self.head.forward(G, keep)
 
     def backward(self, dlogits):
         """Backward from the gradient at the pre-softmax logits, [B, n_classes]."""
@@ -433,10 +453,5 @@ class HCMSModel:
         self.embedding.backward(dK[:, :self.config.embed_dim], row_ids)
 
     def _labels(self, probs):
-        """Argmax class of each row of probs. Inference runs no backward, so
-        the layers' batch-sized caches are dropped, not held to the next forward."""
-        labels = np.argmax(probs, axis=-1)
-        for layer in (self.conv, self.attention, self.head):
-            if layer is not None:
-                layer._cache = None
-        return labels
+        """Argmax class of each row of probs."""
+        return np.argmax(probs, axis=-1)

@@ -233,8 +233,9 @@ def cpus():
 
 
 def predict(model, corpus, batch_size):
-    """Predicted labels over a Corpus, run batch_size at a time (which bounds
-    the attention's [B, v, v, hidden] tensor), with one conv tap table per
+    """Predicted labels over a Corpus, run batch_size at a time through
+    inference forwards (HCMSModel.classify without keep, which cache nothing
+    and build no [B, v, v, hidden] tensor), with one conv tap table per
     chunk of batches whose distinct rows fit in batch_size * L (L the padded
     length), the most one batch's table holds, all in one buffer. Each
     batch's conv tap gathers and attention pair scores are split by examples
@@ -269,9 +270,10 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
 
     Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
     label_index). Keeps the parameter snapshot with the best validation
-    weighted F1 and restores it before returning. A tcfg or ocfg that breaks
-    its validate() raises ConfigError before anything trains; a non-finite
-    loss or gradient raises DivergenceError at its step.
+    weighted F1 and restores it before returning; a best last epoch takes no
+    snapshot, as the store holds it. A tcfg or ocfg that breaks its
+    validate() raises ConfigError before anything trains; a non-finite loss
+    or gradient raises DivergenceError at its step.
 
     Every step and validation pass runs in one tensor.threads(cpus()) block:
     the split ops of a large enough model spread over every CPU of the
@@ -303,7 +305,7 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
             for rows, row_ids, ((idx, inv, lengths),) in _chunks(model, corpus, order,
                                                                   tcfg.batch_size, 0):
                 y = np.eye(n_classes)[labels[idx]]
-                probs = model.classify((rows, inv, row_ids), lengths)
+                probs = model.classify((rows, inv, row_ids), lengths, keep=True)
                 loss = cross_entropy(y, probs)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"epoch {epoch}: batch loss is {loss}")
@@ -320,7 +322,7 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
                 entry["val_acc"] = report.accuracy
                 if report.weighted_f1 > best_f1:
                     best_f1 = report.weighted_f1
-                    best_snapshot = store.value.copy()
+                    best_snapshot = store.value.copy() if epoch < tcfg.epochs else None
             log.append(entry)
     if best_snapshot is not None:
         store.value[...] = best_snapshot

@@ -95,22 +95,24 @@ def conv_forward(block, X, lengths=None):
 # ---------------------------------------------------------------------------
 # the model on one batch
 
-def forward(model, ids, lang=None, lengths=None):
+def forward(model, ids, lang=None, lengths=None, keep=True):
     """Class probabilities [B, n_classes] of a batch in HCMSModel.fit_batch's
     layout, keyed (HCMSModel.key), gathered (conv_rows) and classified on its
-    own. One id sequence (with its [len, 4] lang one-hot or None) is the
-    B-less case: it is fitted as a batch of one and gives [n_classes]."""
+    own, by default with keep, as a training step, so a backward may follow.
+    One id sequence (with its [len, 4] lang one-hot or None) is the B-less
+    case: it is fitted as a batch of one and gives [n_classes]."""
     if np.ndim(ids) == 1:
-        return forward(model, *model.fit_batch([(ids, lang)]))[0]
+        return forward(model, *model.fit_batch([(ids, lang)]), keep)[0]
     first, inv = model.key(ids, lang)
     rows, row_ids = model.conv_rows(ids, lang, first)
-    return model.classify((rows, inv, row_ids), lengths)
+    return model.classify((rows, inv, row_ids), lengths, keep=keep)
 
 
 def predict(model, ids, lang=None, lengths=None):
-    """Argmax class of forward: [B] for a batch, one int for one id sequence;
-    the layers' caches are dropped, as train.predict drops them."""
-    return model._labels(forward(model, ids, lang, lengths))
+    """Argmax class of an inference forward (no keep, so no layer caches
+    anything, as in train.predict): [B] for a batch, one int for one id
+    sequence."""
+    return model._labels(forward(model, ids, lang, lengths, keep=False))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,28 @@ def test_time_suite_reports_the_exit_code(tmp_path):
     assert run["exit"] == 3 and run["seconds"] > 0
 
 
+def test_traced_pairs_put_each_side_first_in_half(tmp_path, monkeypatch):
+    # --traced 3 runs 4 traced pairs a workload, base first in pairs 0 and 2
+    runs = []
+
+    def run(tree, workload, seed, traced):
+        side = "change" if tree == record.ROOT else "base"
+        runs.append((workload, traced, side))
+        return record.parse_run(runner_stdout(1.0))
+
+    monkeypatch.setattr(record, "run_perfbench", run)
+    monkeypatch.setattr(record, "time_suite", lambda tree, args: {"seconds": 1.0, "exit": 0})
+    monkeypatch.setattr(record, "export", lambda sha, dest: None)
+    monkeypatch.setattr(record, "git", lambda *args, **kwargs: "")
+    monkeypatch.setattr(record, "tree_ids", lambda root, dirs: dict.fromkeys(dirs, ""))
+    monkeypatch.setattr(record, "next_bench_path", lambda root: tmp_path / "BENCH_1.json")
+    assert record.main(["--seeds", "2", "--traced", "3"]) == 0
+    assert json.loads((tmp_path / "BENCH_1.json").read_text())["settings"]["traced"] == 4
+    for workload in (w["name"] for w in record.SPEC["workloads"]):
+        assert [side for w, traced, side in runs[::2] if w == workload and traced] == \
+            ["base", "change", "base", "change"]
+
+
 def test_next_bench_path(tmp_path):
     assert record.next_bench_path(tmp_path).name == "BENCH_1.json"
     for name in ("BENCH_1.json", "BENCH_3.json", "BENCH_x.json"):

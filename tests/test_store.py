@@ -185,6 +185,26 @@ def reference_train(model, train_data, val_data, tcfg, ocfg):
     return log
 
 
+def test_last_epoch_best_takes_no_snapshot(rng):
+    # the store holds the last epoch's values, so a best F1 there needs no
+    # copy; an earlier best is copied (and restored: the test above)
+    copies = []
+
+    class Counted(np.ndarray):
+        def copy(self, *args, **kwargs):
+            copies.append(self.shape)
+            return super().copy(*args, **kwargs)
+
+    data = tiny_data(rng, 10)
+    for epochs in (1, 2):
+        model = HCMSModel(tiny_config(), seed=4)
+        model.store.value = model.store.value.view(Counted)  # the same buffer
+        train(model, data, data[:5], TrainConfig(epochs=epochs, batch_size=4),
+              OptimizerConfig())
+        assert copies == ([] if epochs == 1 else [model.store.value.shape])
+        copies.clear()
+
+
 def lang_data(rng, n, vocab=16, length=6):
     """tiny_data with a language one-hot row per token."""
     return [(ids, np.eye(4)[rng.integers(4, size=length)].tolist(), label)

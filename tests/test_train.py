@@ -1,11 +1,14 @@
+import functools
 import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hcms import layers as layers_module
 from hcms import tensor as T
 from hcms import train as train_module
 from hcms.layers import (AttentionDomainError, ConfigError, HCMSModel, ModelConfig,
@@ -405,27 +408,55 @@ def test_predict_builds_one_tap_table_per_chunk(rng, overrides, monkeypatch):
     assert max(sizes) <= rows <= cap
 
 
-def _predict_on(m, data, batch_size, workers, monkeypatch):
+def _predict_on(m, data, batch_size, workers, keep=False):
     """(labels, the bytes of every batch's probabilities) of predict with
-    train.cpus() forced to workers."""
+    train.cpus() forced to workers; with keep, through a training step's
+    caching forward in place of the inference forward."""
     probs, labels = [], m._labels
-    monkeypatch.setattr(m, "_labels", lambda p: probs.append(p.tobytes()) or labels(p))
-    monkeypatch.setattr(train_module, "cpus", lambda: workers)
-    monkeypatch.setattr(T, "_MIN_WORK", 0)  # a tiny model's ops split too
-    got = predict(m, prepare(m, data), batch_size)
-    monkeypatch.undo()
-    return got, probs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m, "_labels", lambda p: probs.append(p.tobytes()) or labels(p))
+        if keep:
+            mp.setattr(m, "classify", functools.partial(m.classify, keep=True))
+        mp.setattr(train_module, "cpus", lambda: workers)
+        mp.setattr(T, "_MIN_WORK", 0)  # a tiny model's ops split too
+        return predict(m, prepare(m, data), batch_size), probs
 
 
 @pytest.mark.parametrize("overrides", PREDICT_CONFIGS.values(), ids=PREDICT_CONFIGS)
 def test_predict_is_the_same_on_any_cpu_count(rng, overrides, monkeypatch):
-    # batches of 3 (the last of 1) cut into slices of 1 to 3 rows
+    # batches of 3 (the last of 1) cut into slices of 1 to 3 rows, whose pair
+    # scores the inference forward runs in scratch blocks of 2 examples; the
+    # reference is the caching forward on one thread
     m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
     m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
     data = chunked_input(rng, m)
-    want = _predict_on(m, data, 3, 1, monkeypatch)
-    for workers in (2, 3):
-        assert _predict_on(m, data, 3, workers, monkeypatch) == want
+    cfg = m.config
+    v = cfg.out_len(max(cfg.max_len, cfg.kernel))
+    monkeypatch.setattr(layers_module, "_SCRATCH", 2 * v * v * cfg.attn_hidden * 8)
+    want = _predict_on(m, data, 3, 1, keep=True)
+    for workers in (1, 2, 3):
+        assert _predict_on(m, data, 3, workers) == want
+
+
+def test_predict_batch_holds_no_pair_tensor(rng, monkeypatch):
+    # one batch at the default dims: the inference forward frees the conv
+    # output before the attention runs and fills the pair scores in
+    # per-thread scratch blocks, so beside the tap table the batch allocates
+    # less than one [B, v, v, hidden] tanh tensor (6.6 MB)
+    m = HCMSModel(ModelConfig(vocab_size=64), seed=0)
+    cfg, batch_size = m.config, 32
+    corpus = prepare(m, [(list(rng.integers(2, 64, size=cfg.max_len)), None, 0)
+                         for _ in range(batch_size)])
+    v = cfg.out_len(cfg.max_len)
+    table = cfg.kernel * len(corpus.first) * cfg.filters * 8
+    monkeypatch.setattr(train_module, "cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        predict(m, corpus, batch_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table < batch_size * v * v * cfg.attn_hidden * 8
 
 
 def test_predict_uses_every_cpu_and_leaves_no_cache_or_thread(rng, monkeypatch):
