@@ -22,9 +22,10 @@ by up to about 20%. The record holds every
 run's values, and per metric the median and quartiles of each side, the
 median of the paired ratios change / base, and the pairs the change won by
 the metric's direction. Then, in SUITE_PAIRS alternating pairs (base first
-when i is even), each side times the whole test suite (`python -m pytest
--q`) and the tiny-regime test alone; every run's seconds and exit code are
-kept beside the same summary. These timings are for information: the
+when i is even; an even count, so each side runs first in half the pairs,
+and settings.suite_pairs records it), each side times the whole test suite
+(`python -m pytest -q`) and the tiny-regime test alone; every run's seconds
+and exit code are kept beside the same summary. These timings are for information: the
 benchmark gates on none of them. The record is printed and written to the
 next free BENCH_<n>.json at the repository's root.
 """
@@ -49,7 +50,7 @@ CODE = ("src", "perfbench", "bench")  # the code the runs execute, and this reco
 SUITES = {"tier1": ["-m", "pytest", "-q"],
           "ablation_direction": ["-m", "pytest", "-q",
                                  "tests/test_acceptance.py::test_ablation_direction"]}
-SUITE_PAIRS = 5  # alternating pairs of suite timings per side
+SUITE_PAIRS = 6  # alternating pairs of suite timings per side: even, as --traced
 
 NOTES = [
     "layers.embedding.bwd_examples counts one per batch since dabd4a3 (the "

@@ -12,10 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, asdict, fields
 from importlib import resources
 
-import numpy as np
-
 LANG_TAGS = ("HIN", "ENG", "O", "EMT")
-LANG_ROWS = np.eye(len(LANG_TAGS))  # row i is the one-hot of LANG_TAGS[i]
 _LANG_POSITION = {tag: i for i, tag in enumerate(LANG_TAGS)}
 LABELS = ("positive", "negative", "neutral")
 _LABEL_POSITION = {label: i for i, label in enumerate(LABELS)}
@@ -29,7 +26,8 @@ class ConllParseError(ValueError):
 
 
 class RecordError(ValueError):
-    """A record's language tag or sentiment label names no LANG_TAGS or LABELS entry."""
+    """A record's language tag or sentiment label names no LANG_TAGS or LABELS
+    entry, or an encoded example's tag indices do not fit its tokens."""
 
 
 def _load_table(name):
@@ -309,16 +307,15 @@ def _known(position, raw, what):
 
 
 def encode(record, vocab, lang_features):
-    """(ids, lang) for an already-cleaned record; lang is the tags' LANG_ROWS,
-    a float64 [n, 4] array, when lang_features is true, else None. Tags are
-    read as parse_conll reads them; RecordError for one that names no tag."""
+    """(ids, lang) for an already-cleaned record; lang is the list of the
+    tags' indices in LANG_TAGS when lang_features is true, else None. Tags
+    are read as parse_conll reads them; RecordError for one that names no tag."""
     lang = None
     if lang_features:
         try:
-            at = [_LANG_POSITION[t] for t in record.lang_tags]
+            lang = [_LANG_POSITION[t] for t in record.lang_tags]
         except KeyError:  # not in parse_conll's form: normalise each tag
-            at = [_known(_lang_position(t), t, "language tag") for t in record.lang_tags]
-        lang = LANG_ROWS[at]
+            lang = [_known(_lang_position(t), t, "language tag") for t in record.lang_tags]
     return [vocab.lookup(t) for t in record.tokens], lang
 
 

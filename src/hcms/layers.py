@@ -24,7 +24,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import tensor as T
-from .corpus import LABELS
+from .corpus import LABELS, LANG_TAGS, RecordError
 from .tensor import Parameter
 
 
@@ -45,7 +45,9 @@ class NoForwardError(RuntimeError):
     last backward, or an inference forward after it."""
 
 
-NUM_LANG_TAGS = 4  # one-hot width for HIN/ENG/O/EMT
+# conv input language rows by tag index: row i is the one-hot of LANG_TAGS[i],
+# and the last, for padding and untagged examples (index len(LANG_TAGS)), is zeros
+LANG_ROWS = np.eye(len(LANG_TAGS) + 1, len(LANG_TAGS))
 
 # Bytes of the tanh scratch that each thread of an inference forward fills
 # block by block (SelfAttentionLayer._scores): half of a core's 2 MB L2
@@ -100,7 +102,7 @@ class ModelConfig:
         """{name: shape} of every parameter of this config's model, in store
         order; each name is the parameter's attribute path in HCMSModel. The
         model builds its layers from these shapes."""
-        in_dim = self.embed_dim + (NUM_LANG_TAGS if self.lang_features else 0)
+        in_dim = self.embed_dim + (len(LANG_TAGS) if self.lang_features else 0)
         shapes = {"embedding.table": (self.vocab_size, self.embed_dim),
                   "conv.filters": (self.filters, self.kernel, in_dim),
                   "conv.bias": (self.filters,)}
@@ -374,9 +376,11 @@ class HCMSModel:
         self.store.zero_grad()
 
     def fit_batch(self, examples):
-        """Right-pad with PAD (or truncate) (token_ids, lang_onehot_or_None)
-        pairs into one batch: ids [B, L], lang [B, L, 4] (None without
-        lang_features) and lengths [B]. train.prepare pads a whole corpus.
+        """Right-pad with PAD (or truncate) (token_ids, tag_indices_or_None)
+        pairs into one batch: ids [B, L], lang [B, L] (None without
+        lang_features; len(LANG_TAGS), no tag, at padding and for None) and
+        lengths [B]; RecordError unless the tags are one LANG_TAGS index per
+        token. train.prepare pads a whole corpus.
 
         With windowed pooling the head needs a fixed width, so L is max_len.
         With global pooling the head width is length-independent: L is the
@@ -389,14 +393,16 @@ class HCMSModel:
         else:
             L = max(cfg.max_len, cfg.kernel)
         ids = np.zeros((len(examples), L), dtype=np.int64)
-        lang = np.zeros((len(examples), L, NUM_LANG_TAGS)) if cfg.lang_features else None
+        lang = np.full((len(examples), L), len(LANG_TAGS)) if cfg.lang_features else None
         lengths = np.empty(len(examples), dtype=np.int64)
-        for b, (tokens, onehot) in enumerate(examples):
+        for b, (tokens, tags) in enumerate(examples):
             n = min(len(tokens), L)
             ids[b, :n] = tokens[:n]
-            if lang is not None and onehot is not None:
-                onehot = np.asarray(onehot, dtype=np.float64)[:L]
-                lang[b, :len(onehot)] = onehot
+            if lang is not None and tags is not None:
+                if len(tags) != len(tokens) or not set(tags).issubset(range(len(LANG_TAGS))):
+                    raise RecordError(f"example {b}: language tags must be {len(tokens)} "
+                                      f"indices in [0, {len(LANG_TAGS)})")
+                lang[b, :n] = tags[:n]
             lengths[b] = max(n, cfg.kernel)
         return ids, lang, lengths
 
@@ -405,16 +411,17 @@ class HCMSModel:
         from one np.unique over its keys: first [n] is the flat position where
         each distinct row of the conv input [embedding, lang] first occurs, in
         key order, and inv [B, L] is each position's row. A key is the token
-        id, plus vocab_size times a code for the position's distinct language
-        row under lang_features (one np.unique over lang's rows), so the keys
-        stay exact for any lang array. The ids are checked first
-        (EmbeddingLayer.check): the key of one outside the table can equal
-        another id's."""
+        id, plus vocab_size times a code for the position's tag index under
+        lang_features. The ids are checked first (EmbeddingLayer.check): the
+        key of one outside the table can equal another id's."""
         keys = self.embedding.check(ids)
         if lang is not None:
-            _, code = np.unique(lang.reshape(-1, lang.shape[-1]), axis=0,
-                                return_inverse=True)
-            keys = keys + self.config.vocab_size * code.reshape(keys.shape)
+            # code len(LANG_TAGS) - index ranks the rows as their one-hots sort
+            # (no tag, then EMT, O, ENG, HIN): the conv rows keep that order,
+            # and with it the summation order of the backward's group sums.
+            # int64 first, as vocab_size times a narrow integer overflows.
+            code = len(LANG_TAGS) - lang.astype(np.int64, copy=False)
+            keys = keys + self.config.vocab_size * code
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         return first, inv.reshape(keys.shape)
 
@@ -426,7 +433,7 @@ class HCMSModel:
         row_ids = np.ravel(ids)[at]
         rows = self.embedding.forward(row_ids)
         if lang is not None:
-            rows = np.concatenate([rows, lang.reshape(-1, lang.shape[-1])[at]], axis=-1)
+            rows = np.concatenate([rows, LANG_ROWS[np.ravel(lang)[at]]], axis=-1)
         return rows, row_ids
 
     def classify(self, layout, lengths, taps=None, keep=False):

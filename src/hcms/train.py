@@ -191,9 +191,9 @@ Corpus = namedtuple("Corpus", "ids lang lengths first inv labels")
 
 
 def prepare(model, data):
-    """The Corpus of encoded (token_ids, lang_onehot_or_None, label_index)
-    examples that train, evaluate and predict batch from; keying checks the
-    ids, so a bad one raises VocabularyError before any batch runs."""
+    """The Corpus of encoded (token_ids, tag_indices_or_None, label_index)
+    examples that train, evaluate and predict batch from; padding checks the
+    tags (RecordError) and keying the ids (VocabularyError) before any batch runs."""
     ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
     return Corpus(ids, lang, lengths, *model.key(ids, lang),
                   [ex[2] for ex in data])
@@ -268,7 +268,7 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
           ocfg: OptimizerConfig):
     """Train the model; returns the per-epoch log (list of dicts).
 
-    Each element of train_data/val_data is (token_ids, lang_onehot_or_None,
+    Each element of train_data/val_data is (token_ids, tag_indices_or_None,
     label_index). Keeps the parameter snapshot with the best validation
     weighted F1 and restores it before returning; a best last epoch takes no
     snapshot, as the store holds it. A tcfg or ocfg that breaks its

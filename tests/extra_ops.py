@@ -15,13 +15,16 @@ and conv1d_backward's dx has x's shape. conv_forward runs a conv block on
 that unkeyed layout. forward and predict are the model's per-batch oracle:
 one batch keyed, gathered and classified on its own, or one id sequence
 fitted as a batch of one, where train.predict cuts each batch from a
-prepared corpus. make_layer builds one model layer on its own, its
-parameters drawn by the model's init table.
+prepared corpus. row_sort_key is the model's keying as it was when the
+corpus carried language one-hot rows: one np.unique over the rows, the
+oracle of HCMSModel.key's fixed tag codes. make_layer builds one model
+layer on its own, its parameters drawn by the model's init table.
 """
 
 import numpy as np
 
 from hcms import tensor
+from hcms.corpus import LANG_TAGS
 from hcms.tensor import *  # noqa: F401,F403 - the library ops, re-exported
 from hcms.layers import (ConvBlock, DenseHead, EmbeddingLayer, SelfAttentionLayer,
                          init_parameters)
@@ -99,13 +102,34 @@ def forward(model, ids, lang=None, lengths=None, keep=True):
     """Class probabilities [B, n_classes] of a batch in HCMSModel.fit_batch's
     layout, keyed (HCMSModel.key), gathered (conv_rows) and classified on its
     own, by default with keep, as a training step, so a backward may follow.
-    One id sequence (with its [len, 4] lang one-hot or None) is the B-less
-    case: it is fitted as a batch of one and gives [n_classes]."""
+    One id sequence (with its tag indices in LANG_TAGS, one per token, or
+    None) is the B-less case: it is fitted as a batch of one and gives
+    [n_classes]."""
     if np.ndim(ids) == 1:
         return forward(model, *model.fit_batch([(ids, lang)]), keep)[0]
     first, inv = model.key(ids, lang)
     rows, row_ids = model.conv_rows(ids, lang, first)
     return model.classify((rows, inv, row_ids), lengths, keep=keep)
+
+
+def lang_onehot(lang):
+    """[..., len(LANG_TAGS)] one-hot rows of fit_batch's tag indices [...]: the
+    index len(LANG_TAGS) (padding, or an untagged example) is the zero row."""
+    return (np.asarray(lang)[..., None] == np.arange(len(LANG_TAGS))).astype(np.float64)
+
+
+def row_sort_key(model, ids, lang=None):
+    """HCMSModel.key's (first, inv) as the model once computed it from one-hot
+    language rows: each position's code is its row's rank among the batch's
+    distinct rows (one np.unique over them, lexicographic), so it names only
+    the rows present."""
+    keys = model.embedding.check(ids)
+    if lang is not None:
+        _, code = np.unique(lang_onehot(lang).reshape(-1, len(LANG_TAGS)), axis=0,
+                            return_inverse=True)
+        keys = keys + model.config.vocab_size * code.reshape(keys.shape)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inv.reshape(keys.shape)
 
 
 def predict(model, ids, lang=None, lengths=None):

@@ -206,7 +206,7 @@ def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
 
 def oracle_labels(checkpoint, records):
     """extra_ops.predict's class for each record, cleaned by the checkpoint's flags
-    and encoded with the language rows its model's lang_features asks for."""
+    and encoded with the language tags its model's lang_features asks for."""
     model, tokens, extra = load_checkpoint(checkpoint)
     vocab, cfg = Vocabulary.from_tokens(tokens), CleaningConfig.from_dict(extra.get("cleaning", {}))
     labels = []
@@ -234,7 +234,7 @@ def test_predict_lang_rows_match_oracle(corpus_files, trained_lang, tmp_path):
 
 def test_library_checkpoint_lang_rows(corpus_files, tmp_path):
     # saved with no extra, so no cleaning flag is recorded: eval and predict
-    # encode language rows because the model's config has lang_features
+    # encode language tags because the model's config has lang_features
     cleaning = CleaningConfig()
     vocab = build_vocab([r for r in clean_corpus(load_mini_corpus()[:40], cleaning)
                          if r is not None])

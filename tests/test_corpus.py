@@ -220,8 +220,8 @@ def test_vocab_tie_break_lexicographic():
 def test_encode_known_and_unknown():
     # a CleaningConfig passed where the bool goes is truthy and would give rows
     v = build_vocab([rec(["a", "a", "b"])])
-    ids, onehot = encode(rec(["a", "b"]), v, False)
-    assert ids == [2, 3] and onehot is None
+    ids, tags = encode(rec(["a", "b"]), v, False)
+    assert ids == [2, 3] and tags is None
     ids, _ = encode(rec(["mystery"]), v, False)
     assert ids == [1]
 
@@ -235,15 +235,14 @@ def test_encode_never_pad_never_overflow():
 
 def test_encode_lang_onehot():
     v = build_vocab([rec(["a"])])
-    ids, onehot = encode(rec(["a", "b"], tags=["HIN", "EMT"]), v, True)
-    assert onehot.dtype == np.float64
-    assert onehot.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    ids, tags = encode(rec(["a", "b"], tags=["HIN", "EMT"]), v, True)
+    assert tags == [LANG_TAGS.index("HIN"), LANG_TAGS.index("EMT")] == [0, 3]
 
 
 def test_encode_reads_tags_and_labels_as_parse_does():
     v = build_vocab([rec(["a"])])
-    _, onehot = encode(rec(["a", "b"], tags=["Hin", " emt "]), v, True)
-    assert onehot.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    _, tags = encode(rec(["a", "b"], tags=["Hin", " emt "]), v, True)
+    assert tags == [0, 3]
     ((_, _, label),) = encode_corpus([rec(["a"], label="Positive")], v, False)
     assert label == 0
     with pytest.raises(RecordError, match="XYZ"):

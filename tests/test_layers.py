@@ -7,7 +7,7 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import conv_forward, forward, make_layer, predict
+from extra_ops import conv_forward, forward, lang_onehot, make_layer, predict, row_sort_key
 
 
 def attention_oracle(C, layer):
@@ -298,10 +298,7 @@ def test_end_to_end_gradcheck(rng):
 
 def test_lang_feature_model(rng):
     m = HCMSModel(tiny_config(lang_features=True), seed=2)
-    ids = [2, 3, 4, 5]
-    onehot = np.zeros((4, 4))
-    onehot[:, 0] = 1.0
-    p = forward(m, ids, onehot)
+    p = forward(m, [2, 3, 4, 5], [0, 0, 0, 0])  # all HIN
     assert abs(p.sum() - 1) < 1e-6
     # backward runs and only embeds real token gradients
     m.zero_grad()
@@ -328,8 +325,8 @@ def _ragged_batch(rng, cfg):
     keeps two pooled windows from tying by chance."""
     examples = []
     for n in (1, 5, 11):
-        onehot = np.eye(4)[rng.integers(4, size=n)] if cfg.lang_features else None
-        examples.append((list(rng.choice(np.arange(2, 20), size=n, replace=False)), onehot))
+        tags = rng.integers(4, size=n) if cfg.lang_features else None
+        examples.append((list(rng.choice(np.arange(2, 20), size=n, replace=False)), tags))
     return examples, np.eye(3)[[0, 2, 1]]
 
 
@@ -341,9 +338,9 @@ def test_batched_matches_stacked(rng, overrides):
     params = m.parameters()
 
     probs, grads = [], {k: np.zeros(p.shape) for k, p in params.items()}
-    for (ids, onehot), y in zip(examples, Y):
+    for (ids, tags), y in zip(examples, Y):
         m.zero_grad()
-        probs.append(forward(m, ids, onehot))
+        probs.append(forward(m, ids, tags))
         m.backward(cross_entropy_softmax_grad(y, probs[-1]))
         for k, p in params.items():
             grads[k] += p.grad
@@ -407,7 +404,7 @@ def test_caches_released_after_backward_and_predict(rng):
 
 def test_step_gathers_only_distinct_rows(rng, monkeypatch):
     # no [B, u, d] embedding output: a training step gathers each distinct
-    # (id, lang row) of its batch once, from one 1-D id array
+    # (id, lang tag) of its batch once, from one 1-D id array
     m = HCMSModel(tiny_config(lang_features=True), seed=5)
     gathers, embed = [], m.embedding.forward
     monkeypatch.setattr(m.embedding, "forward",
@@ -415,7 +412,7 @@ def test_step_gathers_only_distinct_rows(rng, monkeypatch):
     examples, Y = _ragged_batch(rng, m.config)
     ids, lang, lengths = m.fit_batch(examples)
     m.backward(cross_entropy_softmax_grad(Y, forward(m, ids, lang, lengths)))
-    distinct = set(zip(ids.ravel().tolist(), map(tuple, lang.reshape(-1, 4).tolist())))
+    distinct = set(zip(ids.ravel().tolist(), lang.ravel().tolist()))
     assert gathers == [(len(distinct),)]
     assert np.abs(m.embedding.table.grad).max() > 0
 
@@ -445,7 +442,7 @@ def unkeyed_forward(m, ids, lang, lengths):
     """extra_ops.forward with the conv run on every position (keys=None)."""
     X = m.embedding.forward(ids)
     if lang is not None:
-        X = np.concatenate([X, lang], axis=-1)
+        X = np.concatenate([X, lang_onehot(lang)], axis=-1)
     C = conv_forward(m.conv, X, lengths)
     G = m.attention.forward(C) if m.attention is not None else C.reshape(len(C), -1)
     return m.head.forward(G)
@@ -459,31 +456,31 @@ KEYED_CONFIGS = {
 }
 
 
+def keyed_batch(rng, m):
+    """Four examples over three token types, so every id recurs, and every
+    example but the longest ends in PAD. Under lang_features the ids recur
+    under different tags drawn from three of the four, and the 5-token
+    example is untagged (None)."""
+    present = rng.choice(4, size=3, replace=False)
+    return m.fit_batch([(list(rng.integers(2, 5, size=n)),
+                         rng.choice(present, size=n)
+                         if m.config.lang_features and n != 5 else None)
+                        for n in (1, 5, 6, 11)])
+
+
 @pytest.mark.parametrize("overrides", KEYED_CONFIGS.values(), ids=KEYED_CONFIGS)
 def test_keyed_forward_matches_unkeyed(rng, overrides):
-    # three token types and four lang tags: every id recurs, under
-    # different tags, and every example but the longest ends in PAD
+    # the keys also give the layout that one np.unique over the one-hot rows
+    # gave, whose codes name only the rows present: the conv rows, and so the
+    # backward's summation order, are unchanged
     m = HCMSModel(tiny_config(**overrides), seed=6)
     m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
-    examples = [(list(rng.integers(2, 5, size=n)),
-                 np.eye(4)[rng.integers(4, size=n)] if m.config.lang_features else None)
-                for n in (1, 5, 6, 11)]
-    batch = m.fit_batch(examples)
-    assert_close(forward(m, *batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)
-
-
-def test_lang_keys_exact_for_non_onehot_rows(rng):
-    # one token id (then PAD) under lang rows that are not one-hot, some equal:
-    # the keys must tell apart every distinct (id, lang row) pair
-    m = HCMSModel(tiny_config(lang_features=True), seed=6)
-    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
-    ids = np.full((3, 8), 2)
-    ids[:, 6:] = 0
-    lang = rng.choice([0.0, 0.5, -1.0, 2.0], size=(3, 4))[rng.integers(3, size=(3, 8))]
-    lang[..., 0] += rng.integers(2, size=(3, 8)) * 0.25
-    lengths = np.full(3, 6)
-    assert_close(forward(m, ids, lang, lengths), unkeyed_forward(m, ids, lang, lengths),
-                 rtol=0, atol=1e-12)
+    for _ in range(5):
+        batch = keyed_batch(rng, m)
+        for got, want in zip(m.key(*batch[:2]), row_sort_key(m, *batch[:2]), strict=True):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                            want.tobytes())
+        assert_close(forward(m, *batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)
 
 
 def unkeyed_backward(m, ids, dlogits):
@@ -502,11 +499,8 @@ def unkeyed_backward(m, ids, dlogits):
 def test_keyed_backward_matches_unkeyed(rng, overrides):
     m = HCMSModel(tiny_config(**overrides), seed=6)
     m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
-    examples = [(list(rng.integers(2, 5, size=n)),
-                 np.eye(4)[rng.integers(4, size=n)] if m.config.lang_features else None)
-                for n in (1, 5, 6, 11)]
-    batch = m.fit_batch(examples)
-    Y = np.eye(3)[rng.integers(3, size=len(examples))]
+    batch = keyed_batch(rng, m)
+    Y = np.eye(3)[rng.integers(3, size=len(batch[0]))]
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     keyed = {name: p.grad.copy() for name, p in m.parameters().items()}
     m.zero_grad()
@@ -518,14 +512,14 @@ def test_keyed_backward_matches_unkeyed(rng, overrides):
 
 def test_forward_checks_ids_before_keying():
     # the training step's twin of test_predict_checks_ids_before_keying: id -1
-    # under HIN keys to -1 + 16 * 2, the key of id 15 under ENG (codes: zero
-    # row 0, ENG 1, HIN 2), so only a check of the ids themselves sees it
+    # under HIN keys to -1 + 16 * 4, the key of id 15 under ENG (codes: no tag
+    # 0, EMT 1, O 2, ENG 3, HIN 4), so only a check of the ids themselves sees it
     m = HCMSModel(tiny_config(vocab_size=16, lang_features=True), seed=0)
-    good = m.fit_batch([([15], np.eye(4)[[1]]), ([3], np.eye(4)[[0]])])
+    good = m.fit_batch([([15], [1]), ([3], [0])])
     Y = np.eye(3)[[0, 1]]
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *good)))
     grads = m.store.grad.copy()
-    bad = m.fit_batch([([15], np.eye(4)[[1]]), ([-1], np.eye(4)[[0]])])
+    bad = m.fit_batch([([15], [1]), ([-1], [0])])
     with pytest.raises(VocabularyError):
         forward(m, *bad)
     with pytest.raises(NoForwardError):  # the failed forward left nothing to backward

@@ -83,26 +83,51 @@ def test_time_suite_reports_the_exit_code(tmp_path):
     assert run["exit"] == 3 and run["seconds"] > 0
 
 
-def test_traced_pairs_put_each_side_first_in_half(tmp_path, monkeypatch):
-    # --traced 3 runs 4 traced pairs a workload, base first in pairs 0 and 2
-    runs = []
+def record_runs(tmp_path, monkeypatch, argv):
+    """(settings, perfbench runs, suite runs) of record.main(argv) with every
+    run faked: a perfbench run as (workload, traced, side), a suite run as
+    (args, side), in the order they ran."""
+    runs, suites = [], []
+
+    def side(tree):
+        return "change" if tree == record.ROOT else "base"
 
     def run(tree, workload, seed, traced):
-        side = "change" if tree == record.ROOT else "base"
-        runs.append((workload, traced, side))
+        runs.append((workload, traced, side(tree)))
         return record.parse_run(runner_stdout(1.0))
 
+    def time_suite(tree, args):
+        suites.append((args, side(tree)))
+        return {"seconds": 1.0, "exit": 0}
+
     monkeypatch.setattr(record, "run_perfbench", run)
-    monkeypatch.setattr(record, "time_suite", lambda tree, args: {"seconds": 1.0, "exit": 0})
+    monkeypatch.setattr(record, "time_suite", time_suite)
     monkeypatch.setattr(record, "export", lambda sha, dest: None)
     monkeypatch.setattr(record, "git", lambda *args, **kwargs: "")
     monkeypatch.setattr(record, "tree_ids", lambda root, dirs: dict.fromkeys(dirs, ""))
     monkeypatch.setattr(record, "next_bench_path", lambda root: tmp_path / "BENCH_1.json")
-    assert record.main(["--seeds", "2", "--traced", "3"]) == 0
-    assert json.loads((tmp_path / "BENCH_1.json").read_text())["settings"]["traced"] == 4
+    assert record.main(argv) == 0
+    settings = json.loads((tmp_path / "BENCH_1.json").read_text())["settings"]
+    return settings, runs, suites
+
+
+def test_traced_pairs_put_each_side_first_in_half(tmp_path, monkeypatch):
+    # --traced 3 runs 4 traced pairs a workload, base first in pairs 0 and 2
+    settings, runs, _ = record_runs(tmp_path, monkeypatch, ["--seeds", "2", "--traced", "3"])
+    assert settings["traced"] == 4
     for workload in (w["name"] for w in record.SPEC["workloads"]):
         assert [side for w, traced, side in runs[::2] if w == workload and traced] == \
             ["base", "change", "base", "change"]
+
+
+def test_suite_pairs_put_each_side_first_in_half(tmp_path, monkeypatch):
+    settings, _, suites = record_runs(tmp_path, monkeypatch, ["--seeds", "1"])
+    pairs = settings["suite_pairs"]
+    assert pairs % 2 == 0
+    for args in record.SUITES.values():
+        sides = [side for a, side in suites if a == args]
+        assert len(sides) == 2 * pairs
+        assert sides[::2] == ["base", "change"] * (pairs // 2)
 
 
 def test_next_bench_path(tmp_path):

@@ -206,8 +206,8 @@ def test_last_epoch_best_takes_no_snapshot(rng):
 
 
 def lang_data(rng, n, vocab=16, length=6):
-    """tiny_data with a language one-hot row per token."""
-    return [(ids, np.eye(4)[rng.integers(4, size=length)].tolist(), label)
+    """tiny_data with a language tag index per token."""
+    return [(ids, rng.integers(4, size=length).tolist(), label)
             for ids, _, label in tiny_data(rng, n=n, vocab=vocab, length=length)]
 
 

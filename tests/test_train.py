@@ -11,6 +11,7 @@ import pytest
 from hcms import layers as layers_module
 from hcms import tensor as T
 from hcms import train as train_module
+from hcms.corpus import RecordError
 from hcms.layers import (AttentionDomainError, ConfigError, HCMSModel, ModelConfig,
                          VocabularyError)
 from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
@@ -279,12 +280,12 @@ GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
 @pytest.mark.parametrize("overrides", GATHER_CONFIGS.values(), ids=GATHER_CONFIGS)
 def test_gathered_batches_match_fit_batch(rng, overrides):
     # lengths from 1 (below the kernel, 2) to 13 (past max_len, 8); one
-    # example has no lang rows, as predict's all-cleaned-away fallback. At
+    # example has no lang tags, as predict's all-cleaned-away fallback. At
     # cap 0 each batch's layout is the one key and conv_rows give it alone.
     m = HCMSModel(tiny_config(**overrides), seed=0)
     lengths = [1, 1, 13, 2, 8, 9, *rng.integers(1, 14, size=17)]
     data = [(list(rng.integers(2, 16, size=n)),
-             np.eye(4)[rng.integers(4, size=n)].tolist() if m.config.lang_features else None,
+             rng.integers(4, size=n).tolist() if m.config.lang_features else None,
              int(rng.integers(3))) for n in lengths]
     data[4] = (data[4][0], None, data[4][2])
     order = rng.permutation(len(data))
@@ -321,6 +322,25 @@ def test_train_pads_each_corpus_once(rng, monkeypatch):
         assert layouts == []
 
 
+@pytest.mark.parametrize("tags", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 3, 0, 4],
+                                  [0, 1, 2, -1, 0, 1]],
+                         ids=["longer", "shorter", "past_the_tags", "negative"])
+def test_bad_tags_fail_before_any_step(rng, tags):
+    # a tag list must give one LANG_TAGS index per token: a longer one once
+    # put tags on PAD positions and a shorter one left tokens untagged, both
+    # silently; a record that cleaned to nothing (None) stays legal
+    m = HCMSModel(tiny_config(lang_features=True), seed=0)
+    data = [(ids, rng.integers(4, size=len(ids)).tolist(), label)
+            for ids, _, label in tiny_data(rng, n=10)]  # six tokens each
+    data[3] = (data[3][0], None, data[3][2])
+    train(m, data, data[:4], TrainConfig(epochs=1, batch_size=4), DEFAULT_OPT)
+    data[-1] = (data[-1][0], tags, data[-1][2])
+    before = m.store.value.copy()
+    with pytest.raises(RecordError, match=r"example 9: language tags must be 6 indices"):
+        train(m, data, data[:4], TrainConfig(epochs=1, batch_size=4), DEFAULT_OPT)
+    assert m.store.value.tobytes() == before.tobytes()
+
+
 @pytest.mark.parametrize("where", ["last_train_batch", "val"])
 def test_bad_id_fails_before_any_step(rng, where):
     # a VocabularyError, with every parameter as it was: the corpora are keyed,
@@ -349,7 +369,7 @@ def chunked_input(rng, m, n=40):
     8: more distinct rows than batch_size * L for the batch sizes below."""
     data = []
     for length in rng.integers(1, 14, size=n):
-        lang = np.eye(4)[rng.integers(4, size=length)] if m.config.lang_features else None
+        lang = rng.integers(4, size=length) if m.config.lang_features else None
         data.append((list(rng.integers(2, 64, size=length)), lang, 0))
     return data
 
@@ -594,8 +614,7 @@ def test_pool_threads_call_no_public_hcms_function(rng, monkeypatch):
             called.add(frame.f_code.co_qualname)
 
     m = HCMSModel(tiny_config(lang_features=True), seed=0)
-    data = [(ids, np.eye(4)[rng.integers(4, size=len(ids))], label)
-            for ids, _, label in tiny_data(rng)]
+    data = [(ids, rng.integers(4, size=len(ids)), label) for ids, _, label in tiny_data(rng)]
     threading.setprofile(profile)  # the threads started from here on: the pool's
     try:
         train(m, data, data[:4], TrainConfig(epochs=2, batch_size=4), DEFAULT_OPT)
@@ -624,10 +643,10 @@ def test_train_raises_on_nonfinite_gradient(rng, bad, match, monkeypatch):
 
 
 def test_predict_checks_ids_before_keying():
-    # id -1 under HIN keys to -1 + 16 * 2, the key of id 15 under ENG (codes:
-    # zero row 0, ENG 1, HIN 2), so only a check of the ids themselves sees it
+    # id -1 under HIN keys to -1 + 16 * 4, the key of id 15 under ENG (codes:
+    # no tag 0, EMT 1, O 2, ENG 3, HIN 4), so only a check of the ids sees it
     m = HCMSModel(tiny_config(lang_features=True), seed=0)
-    data = [([15], np.eye(4)[[1]], 0), ([-1], np.eye(4)[[0]], 0)]
+    data = [([15], [1], 0), ([-1], [0], 0)]
     with pytest.raises(VocabularyError):
         predict(m, prepare(m, data), 2)
 
