@@ -5,12 +5,12 @@ Layers take a leading batch axis: one forward and one backward move a
 whole minibatch. A forward with keep (a training step) keeps what its
 backward needs in the layer's _cache attribute (the attention keeps its
 [B, v, v, hidden] tanh tensor, the conv block its pooled output and the
-batch layout of the embedding's distinct rows, keyed by HCMSModel.key once
-per corpus, with no [B, L, d] embedding output), and the backward takes the
-cache and releases it, so each backward needs a fresh forward with keep and
-a model is single-writer during training. An inference forward, without
-keep, caches nothing and builds no tanh tensor. Gradients accumulate into
-Parameter.grad, summed over the batch.
+batch layout of the embedding's distinct rows, each named by its key from
+HCMSModel.key once per corpus, with no [B, L, d] embedding output), and the
+backward takes the cache and releases it, so each backward needs a fresh
+forward with keep and a model is single-writer during training. An
+inference forward, without keep, caches nothing and builds no tanh tensor.
+Gradients accumulate into Parameter.grad, summed over the batch.
 Layers hold no init code: HCMSModel allocates one store, binds each
 ModelConfig.param_shapes() name (conv.filters is ConvBlock.filters) to a
 Parameter viewing it, then draws it by init_parameters or adopts a
@@ -343,7 +343,7 @@ class DenseHead:
 class HCMSModel:
     """Embedding -> ConvBlock -> (self-attention | flatten) -> DenseHead,
     one minibatch per classify and backward, as a conv input layout from key
-    (once per corpus: train.prepare) and conv_rows."""
+    (once per corpus: train.prepare) and conv_rows, which decodes its keys."""
 
     def __init__(self, config: ModelConfig, seed=0, values=None):
         """values, if given, is adopted as the store's flat value array (a
@@ -407,33 +407,33 @@ class HCMSModel:
         return ids, lang, lengths
 
     def key(self, ids, lang=None):
-        """(first, inv) of a batch (or a padded corpus) in fit_batch's layout,
-        from one np.unique over its keys: first [n] is the flat position where
-        each distinct row of the conv input [embedding, lang] first occurs, in
-        key order, and inv [B, L] is each position's row. A key is the token
-        id, plus vocab_size times a code for the position's tag index under
-        lang_features. The ids are checked first (EmbeddingLayer.check): the
-        key of one outside the table can equal another id's."""
+        """(keys, inv) of a batch (or a padded corpus) in fit_batch's layout,
+        from one np.unique: keys [n] are the sorted distinct keys of its conv
+        input rows [embedding, lang], one per row, and inv [B, L] is each
+        position's row. A key is the token id, plus vocab_size times a code for
+        the position's tag index under lang_features. The ids are checked
+        first (EmbeddingLayer.check): the key of one outside the table can
+        equal another id's."""
         keys = self.embedding.check(ids)
-        if lang is not None:
+        if self.config.lang_features:
             # code len(LANG_TAGS) - index ranks the rows as their one-hots sort
             # (no tag, then EMT, O, ENG, HIN): the conv rows keep that order,
             # and with it the summation order of the backward's group sums.
+            # conv_rows, below, is the one other reader of this format.
             # int64 first, as vocab_size times a narrow integer overflows.
             code = len(LANG_TAGS) - lang.astype(np.int64, copy=False)
             keys = keys + self.config.vocab_size * code
-        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        return first, inv.reshape(keys.shape)
+        return np.unique(keys, return_inverse=True)  # inv has keys' shape
 
-    def conv_rows(self, ids, lang, at):
+    def conv_rows(self, keys):
         """(rows [n, d], their token ids [n]): the conv input's rows
-        [embedding, lang] at flat positions at of a batch (or a padded
-        corpus) in fit_batch's layout, gathered from the embedding table one
-        row per position, without building the [B, L, d] input."""
-        row_ids = np.ravel(ids)[at]
+        [embedding, lang] that keys from key name, decoded and gathered from
+        the embedding table one row per key, without building the [B, L, d]
+        input."""
+        code, row_ids = np.divmod(keys, self.config.vocab_size)
         rows = self.embedding.forward(row_ids)
-        if lang is not None:
-            rows = np.concatenate([rows, LANG_ROWS[np.ravel(lang)[at]]], axis=-1)
+        if self.config.lang_features:
+            rows = np.concatenate([rows, LANG_ROWS[len(LANG_TAGS) - code]], axis=-1)
         return rows, row_ids
 
     def classify(self, layout, lengths, taps=None, keep=False):

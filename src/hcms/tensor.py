@@ -121,8 +121,8 @@ def map_rows(n, fn, scalars):
 # input rows [n, d], an index map inv [examples, u] from each position to its
 # row, and the token id of each row. The model builds it, for training and
 # predict alike: one np.unique per corpus (HCMSModel.key) over keys that name
-# equal rows gives each distinct row's first position, and a batch's rows are
-# gathered from the embedding there, so a row that repeats is one row.
+# equal rows gives each distinct row's key, and a batch's rows are decoded
+# from their keys (HCMSModel.conv_rows), so a row that repeats is one row.
 # distinct_rows(x) is the unkeyed layout of a real input, each position its
 # own row and no row ids, which conv1d builds for a caller without a layout;
 # no model path uses it.

@@ -185,18 +185,18 @@ def check_gradient(grad, where):
                               "is finite)")
 
 
-# A corpus padded and keyed once (prepare): fit_batch's ids [N, L], lang and
-# lengths [N], HCMSModel.key's (first, inv) over them, and each example's label.
-Corpus = namedtuple("Corpus", "ids lang lengths first inv labels")
+# A corpus padded and keyed once (prepare): HCMSModel.key's (keys, inv) of
+# fit_batch's padded ids and tags, its lengths [N] and each example's label.
+Corpus = namedtuple("Corpus", "keys inv lengths labels")
 
 
 def prepare(model, data):
     """The Corpus of encoded (token_ids, tag_indices_or_None, label_index)
-    examples that train, evaluate and predict batch from; padding checks the
-    tags (RecordError) and keying the ids (VocabularyError) before any batch runs."""
+    examples that train, evaluate and predict batch from, which keeps no
+    padded ids or tags; padding checks the tags (RecordError) and keying the
+    ids (VocabularyError) before any batch runs."""
     ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
-    return Corpus(ids, lang, lengths, *model.key(ids, lang),
-                  [ex[2] for ex in data])
+    return Corpus(*model.key(ids, lang), lengths, [ex[2] for ex in data])
 
 
 def _chunks(model, corpus, order, batch_size, cap):
@@ -204,11 +204,11 @@ def _chunks(model, corpus, order, batch_size, cap):
     whose distinct conv input rows fit in cap (at cap 0, one batch a run). As
     corpus rows are in key order, inv is what HCMSModel.key gives the batch
     alone; under global_pool a batch is cut to its longest row."""
-    used, run = np.zeros(len(corpus.first), dtype=bool), []
+    used, run = np.zeros(len(corpus.keys), dtype=bool), []
 
     def gathered():
         rows = np.flatnonzero(used)
-        return (*model.conv_rows(corpus.ids, corpus.lang, corpus.first[rows]),
+        return (*model.conv_rows(corpus.keys[rows]),
                 [(idx, rows.searchsorted(inv), lengths) for idx, inv, lengths in run])
 
     for start in range(0, len(order), batch_size):
@@ -243,14 +243,14 @@ def predict(model, corpus, batch_size):
     call alone, or for the enclosing train; at most batch_size examples are
     in flight across them, and labels and probabilities do not depend on the
     CPU count."""
-    cap = batch_size * corpus.ids.shape[1]
+    cap = batch_size * corpus.inv.shape[1]
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
     # chunk fragment the heap, which then keeps freed tables resident
-    table = np.empty((k, min(len(corpus.first), cap), f))
+    table = np.empty((k, min(len(corpus.keys), cap), f))
     labels = []
     with T.threads(cpus()):
-        for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.ids)),
+        for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.inv)),
                                     batch_size, cap):
             taps = T.tap_table(rows, model.conv.filters.value, table)
             for _, inv, lengths in run:  # no embedding gather per batch

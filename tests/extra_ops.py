@@ -15,10 +15,12 @@ and conv1d_backward's dx has x's shape. conv_forward runs a conv block on
 that unkeyed layout. forward and predict are the model's per-batch oracle:
 one batch keyed, gathered and classified on its own, or one id sequence
 fitted as a batch of one, where train.predict cuts each batch from a
-prepared corpus. row_sort_key is the model's keying as it was when the
-corpus carried language one-hot rows: one np.unique over the rows, the
-oracle of HCMSModel.key's fixed tag codes. make_layer builds one model
-layer on its own, its parameters drawn by the model's init table.
+prepared corpus. unique_rows is the model's keying and gather as they were
+when the corpus carried language one-hot rows and named each conv row by
+its first flat position: one np.unique over the rows, and a gather at those
+positions; it is the oracle of HCMSModel.key's fixed tag codes and of
+conv_rows' decoding of them. make_layer builds one model layer on its own,
+its parameters drawn by the model's init table.
 """
 
 import numpy as np
@@ -107,8 +109,8 @@ def forward(model, ids, lang=None, lengths=None, keep=True):
     [n_classes]."""
     if np.ndim(ids) == 1:
         return forward(model, *model.fit_batch([(ids, lang)]), keep)[0]
-    first, inv = model.key(ids, lang)
-    rows, row_ids = model.conv_rows(ids, lang, first)
+    keys, inv = model.key(ids, lang)
+    rows, row_ids = model.conv_rows(keys)
     return model.classify((rows, inv, row_ids), lengths, keep=keep)
 
 
@@ -118,18 +120,24 @@ def lang_onehot(lang):
     return (np.asarray(lang)[..., None] == np.arange(len(LANG_TAGS))).astype(np.float64)
 
 
-def row_sort_key(model, ids, lang=None):
-    """HCMSModel.key's (first, inv) as the model once computed it from one-hot
-    language rows: each position's code is its row's rank among the batch's
-    distinct rows (one np.unique over them, lexicographic), so it names only
-    the rows present."""
+def unique_rows(model, ids, lang=None):
+    """(rows [n, d], row_ids [n], inv [B, L]): HCMSModel.conv_rows of
+    HCMSModel.key's keys, and key's inv, as the model once computed them from
+    one-hot language rows. Each position's code is its row's rank among the
+    batch's distinct rows (one np.unique over them, lexicographic), so it
+    names only the rows present; each distinct row is gathered at first, the
+    flat position where it first occurs."""
     keys = model.embedding.check(ids)
     if lang is not None:
         _, code = np.unique(lang_onehot(lang).reshape(-1, len(LANG_TAGS)), axis=0,
                             return_inverse=True)
         keys = keys + model.config.vocab_size * code.reshape(keys.shape)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inv.reshape(keys.shape)
+    row_ids = np.ravel(ids)[first]
+    rows = model.embedding.table.value[row_ids]
+    if lang is not None:
+        rows = np.concatenate([rows, lang_onehot(np.ravel(lang)[first])], axis=-1)
+    return rows, row_ids, inv.reshape(keys.shape)
 
 
 def predict(model, ids, lang=None, lengths=None):

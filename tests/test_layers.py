@@ -7,7 +7,7 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import conv_forward, forward, lang_onehot, make_layer, predict, row_sort_key
+from extra_ops import conv_forward, forward, lang_onehot, make_layer, predict, unique_rows
 
 
 def attention_oracle(C, layer):
@@ -471,13 +471,16 @@ def keyed_batch(rng, m):
 @pytest.mark.parametrize("overrides", KEYED_CONFIGS.values(), ids=KEYED_CONFIGS)
 def test_keyed_forward_matches_unkeyed(rng, overrides):
     # the keys also give the layout that one np.unique over the one-hot rows
-    # gave, whose codes name only the rows present: the conv rows, and so the
-    # backward's summation order, are unchanged
+    # gave, whose codes name only the rows present, and conv_rows decodes
+    # them to the rows that a gather at each row's first position gave: the
+    # conv rows, and so the backward's summation order, are unchanged
     m = HCMSModel(tiny_config(**overrides), seed=6)
     m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)
     for _ in range(5):
         batch = keyed_batch(rng, m)
-        for got, want in zip(m.key(*batch[:2]), row_sort_key(m, *batch[:2]), strict=True):
+        keys, inv = m.key(*batch[:2])
+        for got, want in zip((*m.conv_rows(keys), inv), unique_rows(m, *batch[:2]),
+                             strict=True):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                             want.tobytes())
         assert_close(forward(m, *batch), unkeyed_forward(m, *batch), rtol=0, atol=1e-12)

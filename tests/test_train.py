@@ -294,8 +294,8 @@ def test_gathered_batches_match_fit_batch(rng, overrides):
                                                                5, 0):
         seen.extend(idx.tolist())
         ids, lang, want_lengths = m.fit_batch([data[i][:2] for i in idx])
-        first, want_inv = m.key(ids, lang)
-        want = (*m.conv_rows(ids, lang, first), want_inv, want_lengths)
+        keys, want_inv = m.key(ids, lang)
+        want = (*m.conv_rows(keys), want_inv, want_lengths)
         for got, wanted in zip((rows, row_ids, inv, batch_lengths), want, strict=True):
             assert (got.dtype, got.shape) == (wanted.dtype, wanted.shape)
             assert got.tobytes() == wanted.tobytes()
@@ -468,7 +468,7 @@ def test_predict_batch_holds_no_pair_tensor(rng, monkeypatch):
     corpus = prepare(m, [(list(rng.integers(2, 64, size=cfg.max_len)), None, 0)
                          for _ in range(batch_size)])
     v = cfg.out_len(cfg.max_len)
-    table = cfg.kernel * len(corpus.first) * cfg.filters * 8
+    table = cfg.kernel * len(corpus.keys) * cfg.filters * 8
     monkeypatch.setattr(train_module, "cpus", lambda: 2)
     tracemalloc.start()
     try:
