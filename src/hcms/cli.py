@@ -169,6 +169,7 @@ def _train_once(cfg, train_path, val_path, out_dir=None):
     val_recs = _cleaned(val_path, cleaning) if val_path else []
     vocab = build_vocab(train_recs, min_count=1)
     mcfg = _model_config(cfg, len(vocab))
+    mcfg.validate()  # the store's size, now that the vocabulary is known
     train_data = encode_corpus(train_recs, vocab, mcfg.lang_features)
     val_data = encode_corpus(val_recs, vocab, mcfg.lang_features)
     model = HCMSModel(mcfg, seed=cfg["seed"])

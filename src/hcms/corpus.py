@@ -22,7 +22,8 @@ _REPEAT_RE = re.compile(r"(.)\1{2,}")
 
 
 class ConllParseError(ValueError):
-    """Malformed block in strict mode; message carries the line number."""
+    """Malformed block in strict mode, its message carrying the line number,
+    or a file that is not UTF-8, its message carrying the byte offset."""
 
 
 class RecordError(ValueError):
@@ -170,8 +171,27 @@ def serialize_conll(records):
 
 
 def read_conll_file(path, strict=False):
+    """parse_conll of a UTF-8 file; ConllParseError naming the offset of the
+    first byte that is not UTF-8, if one is."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_conll(fh, strict=strict)
+        try:
+            return parse_conll(fh, strict=strict)
+        except UnicodeDecodeError as exc:
+            raise ConllParseError(f"{path}: not UTF-8 at byte {_bad_byte(fh.buffer)}: "
+                                  f"{exc.reason}") from exc
+
+
+def _bad_byte(fh):
+    """Offset of the first byte of binary file fh that is not UTF-8. Lines are
+    decoded one at a time: no UTF-8 sequence holds the byte of a newline."""
+    fh.seek(0)
+    offset = 0
+    for line in fh:
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return offset + exc.start
+        offset += len(line)
 
 
 # ---------------------------------------------------------------------------

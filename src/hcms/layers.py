@@ -2,29 +2,30 @@
 dense softmax head, and the full classifier that composes them.
 
 Layers take a leading batch axis: one forward and one backward move a
-whole minibatch. A forward with keep (a training step) keeps what its
-backward needs in the layer's _cache attribute (the attention keeps its
-[B, v, v, hidden] tanh tensor, the conv block its pooled output and the
-batch layout of the embedding's distinct rows, each named by its key from
-HCMSModel.key once per corpus, with no [B, L, d] embedding output), and the
-backward takes the cache and releases it, so each backward needs a fresh
-forward with keep and a model is single-writer during training. An
-inference forward, without keep, caches nothing and builds no tanh tensor.
-Gradients accumulate into Parameter.grad, summed over the batch.
-Layers hold no init code: HCMSModel allocates one store, binds each
-ModelConfig.param_shapes() name (conv.filters is ConvBlock.filters) to a
-Parameter viewing it, then draws it by init_parameters or adopts a
-checkpoint's data section as it.
+whole minibatch, padded by its caller (train._chunks). A forward with keep
+(a training step) keeps what its backward needs in the layer's _cache
+attribute (the attention keeps its [B, v, v, hidden] tanh tensor, the conv
+block its pooled output and the batch layout of the embedding's distinct
+rows, each named by its key from HCMSModel.key once per corpus, with no
+[B, L, d] embedding output), and the backward takes the cache and releases
+it, so each backward needs a fresh forward with keep and a model is
+single-writer during training. An inference forward, without keep, caches
+nothing and builds no tanh tensor. Gradients accumulate into
+Parameter.grad, summed over the batch. Layers hold no init code:
+HCMSModel allocates one store, binds each ModelConfig.param_shapes() name
+(conv.filters is ConvBlock.filters) to a Parameter viewing it, then draws
+it by init_parameters or adopts a checkpoint's data section as it.
 """
 
 import math
+import os
 from dataclasses import dataclass, asdict, fields
 from operator import attrgetter
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import LABELS, LANG_TAGS, RecordError
+from .corpus import LABELS, LANG_TAGS
 from .tensor import Parameter
 
 
@@ -117,7 +118,8 @@ class ModelConfig:
         return shapes
 
     def validate(self):
-        """Raise ConfigError unless this config builds a model that runs."""
+        """Raise ConfigError unless this config builds a model that runs and
+        trains in the machine's physical memory."""
         check_field_types(self)
         # max_len may be below 1: a batch is padded to max(max_len, kernel)
         for f in fields(self):
@@ -130,6 +132,13 @@ class ModelConfig:
         if pooled < need:
             raise ConfigError(f"max_len {self.max_len} gives {pooled} pooled "
                               f"position(s), the model needs {need}")
+        # float64 value, gradient and two Adam moments per parameter scalar,
+        # checked before any of them is allocated
+        size = 4 * 8 * sum(math.prod(shape) for shape in self.param_shapes().values())
+        if size > (memory := os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")):
+            raise ConfigError(f"the model's parameters, gradients and Adam moments "
+                              f"need {size} bytes, more than the {memory} bytes of "
+                              "physical memory")
 
 
 def _take_cache(layer):
@@ -375,45 +384,14 @@ class HCMSModel:
     def zero_grad(self):
         self.store.zero_grad()
 
-    def fit_batch(self, examples):
-        """Right-pad with PAD (or truncate) (token_ids, tag_indices_or_None)
-        pairs into one batch: ids [B, L], lang [B, L] (None without
-        lang_features; len(LANG_TAGS), no tag, at padding and for None) and
-        lengths [B]; RecordError unless the tags are one LANG_TAGS index per
-        token. train.prepare pads a whole corpus.
-
-        With windowed pooling the head needs a fixed width, so L is max_len.
-        With global pooling the head width is length-independent: L is the
-        longest example, and lengths (each example's own length) lets the
-        conv block mask the rest. Both are at least the kernel.
-        """
-        cfg = self.config
-        if cfg.global_pool:
-            L = max([cfg.kernel, *(len(ids) for ids, _ in examples)])
-        else:
-            L = max(cfg.max_len, cfg.kernel)
-        ids = np.zeros((len(examples), L), dtype=np.int64)
-        lang = np.full((len(examples), L), len(LANG_TAGS)) if cfg.lang_features else None
-        lengths = np.empty(len(examples), dtype=np.int64)
-        for b, (tokens, tags) in enumerate(examples):
-            n = min(len(tokens), L)
-            ids[b, :n] = tokens[:n]
-            if lang is not None and tags is not None:
-                if len(tags) != len(tokens) or not set(tags).issubset(range(len(LANG_TAGS))):
-                    raise RecordError(f"example {b}: language tags must be {len(tokens)} "
-                                      f"indices in [0, {len(LANG_TAGS)})")
-                lang[b, :n] = tags[:n]
-            lengths[b] = max(n, cfg.kernel)
-        return ids, lang, lengths
-
     def key(self, ids, lang=None):
-        """(keys, inv) of a batch (or a padded corpus) in fit_batch's layout,
-        from one np.unique: keys [n] are the sorted distinct keys of its conv
-        input rows [embedding, lang], one per row, and inv [B, L] is each
-        position's row. A key is the token id, plus vocab_size times a code for
-        the position's tag index under lang_features. The ids are checked
-        first (EmbeddingLayer.check): the key of one outside the table can
-        equal another id's."""
+        """(keys, inv) of ids and their tag indices (len(LANG_TAGS): no tag),
+        from one np.unique: keys [n] are the sorted distinct keys of their
+        conv input rows [embedding, lang], one per row, and inv, the ids'
+        shape, is each position's row. A key is the token id, plus vocab_size
+        times a code for the tag index under lang_features; PAD's, 0, is the
+        least. The ids are checked first (EmbeddingLayer.check): the key of
+        one outside the table can equal another id's."""
         keys = self.embedding.check(ids)
         if self.config.lang_features:
             # code len(LANG_TAGS) - index ranks the rows as their one-hots sort

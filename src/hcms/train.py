@@ -24,11 +24,12 @@ import os
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import LABELS, CleaningConfig
+from .corpus import LABELS, LANG_TAGS, CleaningConfig, RecordError
 from .layers import ConfigError, HCMSModel, ModelConfig, check_field_types
 from .metrics import score
 from .tensor import Parameter
@@ -185,25 +186,47 @@ def check_gradient(grad, where):
                               "is finite)")
 
 
-# A corpus padded and keyed once (prepare): HCMSModel.key's (keys, inv) of
-# fit_batch's padded ids and tags, its lengths [N] and each example's label.
-Corpus = namedtuple("Corpus", "keys inv lengths labels")
+# A corpus keyed once (prepare), unpadded: HCMSModel.key's (keys, inv) of the
+# PAD key 0 and then each example's kept tokens, end to end (example i's rows
+# are inv[offsets[i]:offsets[i + 1]]), its lengths [N] and each label.
+Corpus = namedtuple("Corpus", "keys inv offsets lengths labels")
 
 
 def prepare(model, data):
     """The Corpus of encoded (token_ids, tag_indices_or_None, label_index)
-    examples that train, evaluate and predict batch from, which keeps no
-    padded ids or tags; padding checks the tags (RecordError) and keying the
-    ids (VocabularyError) before any batch runs."""
-    ids, lang, lengths = model.fit_batch([ex[:2] for ex in data])
-    return Corpus(*model.key(ids, lang), lengths, [ex[2] for ex in data])
+    examples that train, evaluate and predict batch from, each example cut to
+    max(max_len, kernel), or whole under global_pool. The tags are checked
+    (RecordError) and the ids keyed (VocabularyError) before any batch runs."""
+    cfg, no_tag = model.config, len(LANG_TAGS)
+    cut = None if cfg.global_pool else _width(model, None)
+    kept = [tokens[:cut] for tokens, _, _ in data]
+    offsets = np.cumsum([1, *map(len, kept)])
+    ids, lang = np.fromiter(chain([0], *kept), np.int64, offsets[-1]), None
+    if cfg.lang_features:
+        lang = np.full(offsets[-1], no_tag)  # PAD and untagged examples: no tag
+        for b, (tokens, tags, _) in enumerate(data):
+            if tags is not None and (len(tags) != len(tokens)
+                                     or not set(tags).issubset(range(no_tag))):
+                raise RecordError(f"example {b}: language tags must be {len(tokens)} "
+                                  f"indices in [0, {no_tag})")
+            lang[offsets[b]:offsets[b + 1]] = no_tag if tags is None else tags[:cut]
+    return Corpus(*model.key(ids, lang), offsets, np.maximum(np.diff(offsets), cfg.kernel),
+                  [ex[2] for ex in data])
+
+
+def _width(model, lengths):
+    """A batch's padded length: max(max_len, kernel), or under global_pool the
+    longest of its lengths."""
+    cfg = model.config
+    return lengths.max(initial=cfg.kernel) if cfg.global_pool else max(cfg.max_len,
+                                                                        cfg.kernel)
 
 
 def _chunks(model, corpus, order, batch_size, cap):
     """(rows, row_ids, [(idx, inv, lengths), ...]) per run of batches of order
-    whose distinct conv input rows fit in cap (at cap 0, one batch a run). As
-    corpus rows are in key order, inv is what HCMSModel.key gives the batch
-    alone; under global_pool a batch is cut to its longest row."""
+    whose distinct conv input rows fit in cap (at cap 0, one batch a run). A
+    batch's inv [b, _width] holds its examples' rows, padded with PAD's row 0;
+    as corpus rows are in key order, it is HCMSModel.key's of the padded batch."""
     used, run = np.zeros(len(corpus.keys), dtype=bool), []
 
     def gathered():
@@ -213,8 +236,9 @@ def _chunks(model, corpus, order, batch_size, cap):
 
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        width = corpus.lengths[idx].max() if model.config.global_pool else None
-        inv = corpus.inv[idx, :width]
+        lengths = corpus.lengths[idx]
+        at = corpus.offsets[idx][:, None] + np.arange(_width(model, lengths))
+        inv = corpus.inv[np.where(at < corpus.offsets[idx + 1][:, None], at, 0)]
         rows = np.unique(inv)
         fresh = rows[~used[rows]]
         if run and np.count_nonzero(used) + fresh.size > cap:
@@ -222,7 +246,7 @@ def _chunks(model, corpus, order, batch_size, cap):
             used[:] = False
             run, fresh = [], rows
         used[fresh] = True
-        run.append((idx, inv, corpus.lengths[idx]))
+        run.append((idx, inv, lengths))
     if run:
         yield gathered()
 
@@ -236,21 +260,21 @@ def predict(model, corpus, batch_size):
     """Predicted labels over a Corpus, run batch_size at a time through
     inference forwards (HCMSModel.classify without keep, which cache nothing
     and build no [B, v, v, hidden] tensor), with one conv tap table per
-    chunk of batches whose distinct rows fit in batch_size * L (L the padded
-    length), the most one batch's table holds, all in one buffer. Each
+    chunk of batches whose distinct rows fit in batch_size * L (L the widest
+    batch's _width), the most one batch's table holds, all in one buffer. Each
     batch's conv tap gathers and attention pair scores are split by examples
     across one thread per cpus() (tensor.threads), threads that live for this
     call alone, or for the enclosing train; at most batch_size examples are
     in flight across them, and labels and probabilities do not depend on the
     CPU count."""
-    cap = batch_size * corpus.inv.shape[1]
+    cap = batch_size * _width(model, corpus.lengths)
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by
     # chunk fragment the heap, which then keeps freed tables resident
     table = np.empty((k, min(len(corpus.keys), cap), f))
     labels = []
     with T.threads(cpus()):
-        for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.inv)),
+        for rows, _, run in _chunks(model, corpus, np.arange(len(corpus.lengths)),
                                     batch_size, cap):
             taps = T.tap_table(rows, model.conv.filters.value, table)
             for _, inv, lengths in run:  # no embedding gather per batch
@@ -414,4 +438,7 @@ def _restore(header, fh, n_values):
     if len(vocab := header["vocab"]) != config.vocab_size:  # one token per row
         raise CheckpointShapeError(f"vocab lists {len(vocab)} tokens, the "
                                    f"embedding table has {config.vocab_size} rows")
-    return HCMSModel(config, values=np.fromfile(fh, "<f8", count=size)), vocab, extra
+    values = np.fromfile(fh, "<f8", count=size)
+    if not np.isfinite(values).all():  # a model that would predict garbage
+        raise CheckpointCorruptError("data section holds a NaN or inf value")
+    return HCMSModel(config, values=values), vocab, extra

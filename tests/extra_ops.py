@@ -12,15 +12,17 @@ conv1d_backward take raw keys here, as the tests' oracles are written, and
 build the layout the library ops take with np.unique (keyed_layout), as
 HCMSModel does from its keys; without keys, every position is its own row
 and conv1d_backward's dx has x's shape. conv_forward runs a conv block on
-that unkeyed layout. forward and predict are the model's per-batch oracle:
-one batch keyed, gathered and classified on its own, or one id sequence
-fitted as a batch of one, where train.predict cuts each batch from a
-prepared corpus. unique_rows is the model's keying and gather as they were
-when the corpus carried language one-hot rows and named each conv row by
-its first flat position: one np.unique over the rows, and a gather at those
-positions; it is the oracle of HCMSModel.key's fixed tag codes and of
-conv_rows' decoding of them. make_layer builds one model layer on its own,
-its parameters drawn by the model's init table.
+that unkeyed layout. fit_batch pads examples into one batch: the oracle of
+the padded layout that train._chunks cuts from a prepared corpus. forward
+and predict are the model's per-batch oracle: one batch keyed, gathered and
+classified on its own, or one id sequence fitted as a batch of one, where
+train.predict cuts each batch from a prepared corpus. unique_rows is the
+model's keying and gather as they were when the corpus carried language
+one-hot rows and named each conv row by its first flat position: one
+np.unique over the rows, and a gather at those positions; it is the oracle
+of HCMSModel.key's fixed tag codes and of conv_rows' decoding of them.
+make_layer builds one model layer on its own, its parameters drawn by the
+model's init table.
 """
 
 import numpy as np
@@ -100,15 +102,45 @@ def conv_forward(block, X, lengths=None):
 # ---------------------------------------------------------------------------
 # the model on one batch
 
+def fit_batch(model, examples):
+    """Right-pad with PAD (or truncate) (token_ids, tag_indices_or_None)
+    pairs into one batch: ids [B, L], lang [B, L] (None without
+    lang_features; len(LANG_TAGS), no tag, at padding and for None) and
+    lengths [B]: the padded layout of each batch that train._chunks cuts
+    from a prepared corpus.
+
+    With windowed pooling the head needs a fixed width, so L is max_len.
+    With global pooling the head width is length-independent: L is the
+    longest example, and lengths (each example's own length) lets the
+    conv block mask the rest. Both are at least the kernel, and an example
+    with no token is all PAD, of length kernel.
+    """
+    cfg = model.config
+    if cfg.global_pool:
+        L = max([cfg.kernel, *(len(ids) for ids, _ in examples)])
+    else:
+        L = max(cfg.max_len, cfg.kernel)
+    ids = np.zeros((len(examples), L), dtype=np.int64)
+    lang = np.full((len(examples), L), len(LANG_TAGS)) if cfg.lang_features else None
+    lengths = np.empty(len(examples), dtype=np.int64)
+    for b, (tokens, tags) in enumerate(examples):
+        n = min(len(tokens), L)
+        ids[b, :n] = tokens[:n]
+        if lang is not None and tags is not None:
+            lang[b, :n] = tags[:n]
+        lengths[b] = max(n, cfg.kernel)
+    return ids, lang, lengths
+
+
 def forward(model, ids, lang=None, lengths=None, keep=True):
-    """Class probabilities [B, n_classes] of a batch in HCMSModel.fit_batch's
+    """Class probabilities [B, n_classes] of a batch in fit_batch's
     layout, keyed (HCMSModel.key), gathered (conv_rows) and classified on its
     own, by default with keep, as a training step, so a backward may follow.
     One id sequence (with its tag indices in LANG_TAGS, one per token, or
     None) is the B-less case: it is fitted as a batch of one and gives
     [n_classes]."""
     if np.ndim(ids) == 1:
-        return forward(model, *model.fit_batch([(ids, lang)]), keep)[0]
+        return forward(model, *fit_batch(model, [(ids, lang)]), keep)[0]
     keys, inv = model.key(ids, lang)
     rows, row_ids = model.conv_rows(keys)
     return model.classify((rows, inv, row_ids), lengths, keep=keep)

@@ -10,7 +10,7 @@ import pytest
 
 import hcms
 
-from hcms.cli import main
+from hcms.cli import _model_config, load_run_config, main
 from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, clean,
                          clean_corpus, encode, parse_conll, serialize_conll)
 from hcms.layers import HCMSModel, ModelConfig
@@ -439,6 +439,67 @@ def test_invalid_config_exit_code(corpus_files, tmp_path, setting):
                  "--out-dir", str(out), *FAST, "--set", setting])
     assert code == 5
     assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["embed_dim=2000000000", "max_len=100000000000"])
+def test_oversized_model_exit_code(corpus_files, tmp_path, capsys, setting):
+    # the store, its gradient and Adam's moments would need about 100 TB and
+    # 1 PB, more than any machine's memory: a ConfigError before any of them
+    # is allocated, not numpy's MemoryError
+    out = tmp_path / "out"
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--out-dir", str(out), *FAST, "--set", setting])
+    assert code == 5
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_store_checked_again_once_the_vocab_is_known(corpus_files, tmp_path, monkeypatch):
+    # physical memory that holds the config-time model (the smallest vocab)
+    # but not the one the corpus's vocabulary gives: exit 5, no output
+    cfg = load_run_config(None, FAST[1::2])
+    need = 4 * 8 * sum(math.prod(shape) for shape in
+                       _model_config(cfg, 2).param_shapes().values())
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1,
+                                                     "SC_PHYS_PAGES": need}.get(name)
+                        or sysconf(name))
+    out = tmp_path / "out"
+    code = main(["train", "--train", str(corpus_files / "train.conll"),
+                 "--out-dir", str(out), *FAST])
+    assert code == 5
+    assert list(out.iterdir()) == []
+
+
+def test_non_utf8_corpus_exit_code(corpus_files, trained, tmp_path, capsys):
+    # byte 0xff at the start of a token line: a corpus error that names its
+    # offset, with no output file, on every command that parses the corpus
+    raw = (corpus_files / "unlabeled.conll").read_bytes()
+    at = raw.index(b"\n", raw.index(b"meta", 1)) + 1
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    commands = {"train": ["--train", str(bad), *FAST],
+                "predict": ["--checkpoint", str(trained / "model.ckpt"), "--input", str(bad)],
+                "preprocess": ["--input", str(bad)]}
+    for command, args in commands.items():
+        out = tmp_path / command
+        assert main([command, *args, "--out-dir", str(out)]) == 3
+        assert f"not UTF-8 at byte {at}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def test_non_finite_checkpoint_exit_code(corpus_files, trained, tmp_path):
+    # a NaN as the last value of the data section: the model would label every
+    # tweet alike, so the load fails and neither command writes its output
+    raw = (trained / "model.ckpt").read_bytes()
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(raw[:-8] + struct.pack("<d", math.nan))
+    inputs = {"predict": "unlabeled.conll", "eval": "test.conll"}
+    for command, name in inputs.items():
+        out = tmp_path / command
+        assert main([command, "--checkpoint", str(bad), "--input",
+                     str(corpus_files / name), "--out-dir", str(out)]) == 4
+        assert list(out.iterdir()) == []
 
 
 def test_parse_error_exit_code(tmp_path):

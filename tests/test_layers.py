@@ -7,7 +7,8 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import conv_forward, forward, lang_onehot, make_layer, predict, unique_rows
+from extra_ops import (conv_forward, fit_batch, forward, lang_onehot, make_layer, predict,
+                       unique_rows)
 
 
 def attention_oracle(C, layer):
@@ -346,7 +347,7 @@ def test_batched_matches_stacked(rng, overrides):
             grads[k] += p.grad
 
     m.zero_grad()
-    P = forward(m, *m.fit_batch(examples))
+    P = forward(m, *fit_batch(m, examples))
     m.backward(cross_entropy_softmax_grad(Y, P))
     assert_close(P, np.stack(probs), rtol=0, atol=1e-12)
     for k, p in params.items():
@@ -362,7 +363,7 @@ def test_global_pool_masks_padding(rng):
     m.conv.filters.value[:] = np.abs(m.conv.filters.value)
     m.embedding.table.value[1:] = -np.abs(m.embedding.table.value[1:])
     examples, _ = _ragged_batch(rng, m.config)
-    P = forward(m, *m.fit_batch(examples))
+    P = forward(m, *fit_batch(m, examples))
     assert_close(P, np.stack([forward(m, ids) for ids, _ in examples]), rtol=0, atol=1e-12)
 
 
@@ -370,7 +371,7 @@ def test_batched_loss_gradcheck(rng):
     m = HCMSModel(tiny_config(), seed=8)
     m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)  # off the ReLU kink
     examples, Y = _ragged_batch(rng, m.config)
-    batch = m.fit_batch(examples)
+    batch = fit_batch(m, examples)
 
     m.zero_grad()
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
@@ -394,7 +395,7 @@ def test_batched_loss_gradcheck(rng):
 def test_caches_released_after_backward_and_predict(rng):
     m = HCMSModel(tiny_config(), seed=5)
     examples, Y = _ragged_batch(rng, m.config)
-    batch = m.fit_batch(examples)
+    batch = fit_batch(m, examples)
     layers = (m.conv, m.attention, m.head)
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
     assert all(layer._cache is None for layer in layers)
@@ -410,7 +411,7 @@ def test_step_gathers_only_distinct_rows(rng, monkeypatch):
     monkeypatch.setattr(m.embedding, "forward",
                         lambda ids: gathers.append(np.shape(ids)) or embed(ids))
     examples, Y = _ragged_batch(rng, m.config)
-    ids, lang, lengths = m.fit_batch(examples)
+    ids, lang, lengths = fit_batch(m, examples)
     m.backward(cross_entropy_softmax_grad(Y, forward(m, ids, lang, lengths)))
     distinct = set(zip(ids.ravel().tolist(), lang.ravel().tolist()))
     assert gathers == [(len(distinct),)]
@@ -420,7 +421,7 @@ def test_step_gathers_only_distinct_rows(rng, monkeypatch):
 def test_backward_needs_fresh_forward(rng):
     m = HCMSModel(tiny_config(), seed=5)
     examples, Y = _ragged_batch(rng, m.config)
-    batch = m.fit_batch(examples)
+    batch = fit_batch(m, examples)
     dlogits = cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3))
     with pytest.raises(NoForwardError, match="DenseHead"):
         m.backward(dlogits)
@@ -462,7 +463,7 @@ def keyed_batch(rng, m):
     under different tags drawn from three of the four, and the 5-token
     example is untagged (None)."""
     present = rng.choice(4, size=3, replace=False)
-    return m.fit_batch([(list(rng.integers(2, 5, size=n)),
+    return fit_batch(m, [(list(rng.integers(2, 5, size=n)),
                          rng.choice(present, size=n)
                          if m.config.lang_features and n != 5 else None)
                         for n in (1, 5, 6, 11)])
@@ -518,11 +519,11 @@ def test_forward_checks_ids_before_keying():
     # under HIN keys to -1 + 16 * 4, the key of id 15 under ENG (codes: no tag
     # 0, EMT 1, O 2, ENG 3, HIN 4), so only a check of the ids themselves sees it
     m = HCMSModel(tiny_config(vocab_size=16, lang_features=True), seed=0)
-    good = m.fit_batch([([15], [1]), ([3], [0])])
+    good = fit_batch(m, [([15], [1]), ([3], [0])])
     Y = np.eye(3)[[0, 1]]
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *good)))
     grads = m.store.grad.copy()
-    bad = m.fit_batch([([15], [1]), ([-1], [0])])
+    bad = fit_batch(m, [([15], [1]), ([-1], [0])])
     with pytest.raises(VocabularyError):
         forward(m, *bad)
     with pytest.raises(NoForwardError):  # the failed forward left nothing to backward

@@ -14,7 +14,7 @@ from hcms.train import (_BLOCK, AdamState, OptimizerConfig, TrainConfig,
                         adam_step, cross_entropy,
                         cross_entropy_softmax_grad, evaluate, load_checkpoint,
                         prepare, save_checkpoint, train)
-from extra_ops import forward
+from extra_ops import fit_batch, forward
 from test_train import VOCAB, tiny_config, tiny_data
 
 CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
@@ -164,7 +164,7 @@ def reference_train(model, train_data, val_data, tcfg, ocfg):
         total_loss = 0.0
         for start in range(0, len(order), tcfg.batch_size):
             batch = [train_data[i] for i in order[start:start + tcfg.batch_size]]
-            ids, lang, lengths = model.fit_batch([(x, l) for x, l, _ in batch])
+            ids, lang, lengths = fit_batch(model, [(x, l) for x, l, _ in batch])
             y = np.eye(n_classes)[[label for *_, label in batch]]
             probs = forward(model, ids, lang, lengths)
             total_loss += cross_entropy(y, probs)

@@ -22,7 +22,8 @@ from hcms.train import (AdamState, CheckpointCorruptError, CheckpointShapeError,
                         _chunks, load_checkpoint, predict, prepare, save_checkpoint,
                         train)
 from conftest import assert_close
-from extra_ops import cross_entropy_backward, forward, predict as model_predict
+from extra_ops import (cross_entropy_backward, fit_batch, forward,
+                       predict as model_predict)
 
 DEFAULT_OPT = OptimizerConfig(lr=0.01, beta1=0.9, beta2=0.99, epsilon=1e-7)
 
@@ -271,7 +272,7 @@ def test_padding_invariance_global_pool(rng):
 
 
 # ---------------------------------------------------------------------------
-# batches: one pad and one keying per corpus, one row gather per batch
+# batches: one keying per corpus; each batch padded and its rows gathered when cut
 
 GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
                   "global_pool": dict(global_pool=True, include_self=True)}
@@ -279,11 +280,12 @@ GATHER_CONFIGS = {"windowed": {}, "lang_features": dict(lang_features=True),
 
 @pytest.mark.parametrize("overrides", GATHER_CONFIGS.values(), ids=GATHER_CONFIGS)
 def test_gathered_batches_match_fit_batch(rng, overrides):
-    # lengths from 1 (below the kernel, 2) to 13 (past max_len, 8); one
-    # example has no lang tags, as predict's all-cleaned-away fallback. At
-    # cap 0 each batch's layout is the one key and conv_rows give it alone.
+    # lengths from 0 (all PAD, of length kernel) and 1 (below the kernel, 2)
+    # to 13 (past max_len, 8); one example has no lang tags, as predict's
+    # all-cleaned-away fallback. At cap 0 each batch's layout is the one key
+    # and conv_rows give its padded ids alone.
     m = HCMSModel(tiny_config(**overrides), seed=0)
-    lengths = [1, 1, 13, 2, 8, 9, *rng.integers(1, 14, size=17)]
+    lengths = [1, 1, 13, 2, 8, 9, 0, *rng.integers(1, 14, size=17)]
     data = [(list(rng.integers(2, 16, size=n)),
              rng.integers(4, size=n).tolist() if m.config.lang_features else None,
              int(rng.integers(3))) for n in lengths]
@@ -293,7 +295,7 @@ def test_gathered_batches_match_fit_batch(rng, overrides):
     for rows, row_ids, ((idx, inv, batch_lengths),) in _chunks(m, prepare(m, data), order,
                                                                5, 0):
         seen.extend(idx.tolist())
-        ids, lang, want_lengths = m.fit_batch([data[i][:2] for i in idx])
+        ids, lang, want_lengths = fit_batch(m, [data[i][:2] for i in idx])
         keys, want_inv = m.key(ids, lang)
         want = (*m.conv_rows(keys), want_inv, want_lengths)
         for got, wanted in zip((rows, row_ids, inv, batch_lengths), want, strict=True):
@@ -303,23 +305,40 @@ def test_gathered_batches_match_fit_batch(rng, overrides):
 
 
 def test_train_pads_each_corpus_once(rng, monkeypatch):
-    # the training set and the val set once per run, whatever the epochs; no
-    # step or validation pass pads or keys, and none builds an unkeyed layout
-    calls, keyings, layouts = [], [], []
-    fit, key, build = HCMSModel.fit_batch, HCMSModel.key, T.distinct_rows
-    monkeypatch.setattr(HCMSModel, "fit_batch",
-                        lambda self, examples: calls.append(len(examples)) or fit(self, examples))
-    monkeypatch.setattr(HCMSModel, "key", lambda self, *a: keyings.append(1) or key(self, *a))
+    # the training set and the val set are keyed once per run, whatever the
+    # epochs, as one flat stream of their tokens after the PAD key; no step
+    # or validation pass keys, and none builds an unkeyed layout
+    keyings, layouts = [], []
+    key, build = HCMSModel.key, T.distinct_rows
+    monkeypatch.setattr(HCMSModel, "key",
+                        lambda self, ids, *a: keyings.append(ids.shape) or key(self, ids, *a))
     monkeypatch.setattr(T, "distinct_rows", lambda *a: layouts.append(1) or build(*a))
     for epochs in (1, 3):
-        calls.clear()
         keyings.clear()
         m = HCMSModel(tiny_config(), seed=0)
         train(m, tiny_data(rng, n=10), tiny_data(rng, n=6),
               TrainConfig(epochs=epochs, batch_size=4), DEFAULT_OPT)
-        assert calls == [10, 6]
-        assert len(keyings) == 2
+        assert keyings == [(1 + 10 * 6,), (1 + 6 * 6,)]  # six tokens an example
         assert layouts == []
+
+
+def test_prepare_peak_grows_with_the_long_example_alone(rng):
+    # under global_pool one long example is kept whole, not padded into every
+    # row: it raises prepare's peak by a few int64 arrays of its own length,
+    # where a corpus padded to it would hold 2101 x 20,000 ids (336 MB)
+    m = HCMSModel(tiny_config(global_pool=True, include_self=True), seed=0)
+    short = [(rng.integers(2, 16, size=10).tolist(), None, 0) for _ in range(2100)]
+    n = 20_000
+    peaks = []
+    for data in (short, [*short, (rng.integers(2, 16, size=n).tolist(), None, 0)]):
+        tracemalloc.start()
+        try:
+            corpus = prepare(m, data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert corpus.lengths[-1] == n
+    assert peaks[1] - peaks[0] < 16 * 8 * n
 
 
 @pytest.mark.parametrize("tags", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 3, 0, 4],
@@ -386,7 +405,7 @@ def test_predict_matches_per_batch_model_predict(rng, overrides, monkeypatch):
     monkeypatch.undo()
     want, want_probs = [], []
     for start in range(0, len(data), batch_size):
-        batch = m.fit_batch([ex[:2] for ex in data[start:start + batch_size]])
+        batch = fit_batch(m, [ex[:2] for ex in data[start:start + batch_size]])
         want += model_predict(m, *batch).tolist()
         want_probs.append(forward(m, *batch))
     assert got == want
@@ -400,7 +419,7 @@ def test_predict_builds_one_tap_table_per_chunk(rng, overrides, monkeypatch):
     # reference: greedy runs of batches whose distinct ids fit in batch_size * L
     m = HCMSModel(tiny_config(vocab_size=64, **overrides), seed=7)
     data, batch_size = chunked_input(rng, m), 3
-    ids, _, lengths = m.fit_batch([ex[:2] for ex in data])
+    ids, _, lengths = fit_batch(m, [ex[:2] for ex in data])
     cap = batch_size * ids.shape[1]
     want, run = [], set()
     for start in range(0, len(data), batch_size):
