@@ -99,6 +99,17 @@ NOTES = [
     "corpus.encode_ms includes the cleaning time that corpus.clean_ms also "
     "counts. Do not compare corpus.clean_ms, corpus.self_ms, cli.self_ms or "
     "predict-default's corpus.encode_ms across that change.",
+    "predict parses its input a window of records at a time through the "
+    "generator hcms.corpus.iter_conll_file since predict streams its input, "
+    "and calls neither read_conll_file nor parse_conll, and it takes each "
+    "window's cleaned records before encode_corpus. So on predict-default "
+    "corpus.parse_ms reads about 0, corpus.records and corpus.tokens read 0, "
+    "the parse's time counts in cli.cmd_predict (cli.self_ms), and the "
+    "hcms.corpus.clean spans nest in cli.cmd_predict, so corpus.encode_ms no "
+    "longer includes the cleaning. train-default's corpus calls are "
+    "unchanged. Do not compare predict-default's corpus.parse_ms, "
+    "corpus.encode_ms, corpus.records, corpus.tokens, corpus.self_ms or "
+    "cli.self_ms across that change.",
 ]
 
 

@@ -12,17 +12,19 @@ a training run that diverged (non-finite loss or parameters), 1 anything else.
 
 import argparse
 import functools
+import itertools
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import tensor as T
 from .corpus import (CleaningConfig, ConllParseError, LABELS, Vocabulary, build_vocab,
                      clean_corpus, corpus_stats, encode_corpus, format_stats,
-                     format_stats_kv, read_conll_file, serialize_conll)
+                     format_stats_kv, iter_conll_file, read_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, DataError, DivergenceError, OptimizerConfig,
-                    TrainConfig, evaluate, format_epoch, load_checkpoint, predict,
+                    TrainConfig, cpus, evaluate, format_epoch, load_checkpoint, predict,
                     prepare, save_checkpoint, train)
 
 EXIT_OK = 0
@@ -118,11 +120,15 @@ def _model_config(cfg, vocab_size):
                                       lang_features=cfg["append_lang_onehot"]))
 
 
-def _load_corpus(path, strict=False):
+def _corpus_path(path):
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus file not found: {p}")
-    return read_conll_file(p, strict=strict)
+    return p
+
+
+def _load_corpus(path, strict=False):
+    return read_conll_file(_corpus_path(path), strict=strict)
 
 
 def _cleaned(path, cleaning):
@@ -210,16 +216,38 @@ def cmd_eval(args, cfg, out):
     (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
 
 
+# Records a predict window holds: the command keeps one window's lists, Corpus
+# and tap table, whatever the input's size. A conv row met in several windows
+# has its taps built in each, so a narrower window holds a smaller table but
+# builds more rows again: on the predict-default input (1509 distinct rows)
+# windows of 512 build 6621, of 1024 4247. 512 peaked about 1 MB below 1024 in
+# the benchmark but ran about 3% slower; 2048 peaked above both (CHANGES.md).
+PREDICT_WINDOW = 1024
+
+
 @_command
 def cmd_predict(args, cfg, out):
+    """Label each record of --input, in order, into predictions.tsv. The file
+    is parsed, cleaned (one memo for the whole file), encoded, prepared and
+    predicted PREDICT_WINDOW records at a time, each window's lines written
+    to a temporary file that becomes predictions.tsv at the end; a run that
+    fails leaves neither. Every window's predict shares one thread pool."""
     model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    records = _load_corpus(args.input)[0]
-    names = [rec.id for rec in records]
-    data = encode_corpus(clean_corpus(records, cleaning), vocab, model.config.lang_features)
-    del records  # freed before predict
-    preds = predict(model, prepare(model, data), cfg["batch_size"])
-    text = "".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds))
-    (out / "predictions.tsv").write_text(text, encoding="utf-8")
+    named, records = itertools.tee(iter_conll_file(_corpus_path(args.input), []))
+    # a record that cleans to nothing (None) still has its raw record's name
+    labeled = zip((rec.id for rec in named), clean_corpus(records, cleaning))
+    part = out / "predictions.tsv.part"
+    try:
+        with T.threads(cpus()), open(part, "w", encoding="utf-8") as fh:
+            while window := list(itertools.islice(labeled, PREDICT_WINDOW)):
+                names, cleaned = zip(*window)
+                data = encode_corpus(cleaned, vocab, model.config.lang_features)
+                preds = predict(model, prepare(model, data), cfg["batch_size"])
+                fh.write("".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds)))
+                del window, names, cleaned, data, preds  # freed before the next window is read
+        part.replace(out / "predictions.tsv")
+    finally:
+        part.unlink(missing_ok=True)  # left only by a run that failed
 
 
 @_command

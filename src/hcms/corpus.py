@@ -10,6 +10,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, asdict, fields
+from itertools import chain
 from importlib import resources
 
 LANG_TAGS = ("HIN", "ENG", "O", "EMT")
@@ -122,40 +123,43 @@ def _parse_block(block_lines, start_line, tokens_seen, tag_of):
     return TweetRecord(id=tweet_id, tokens=tokens, lang_tags=tags, label=label)
 
 
-def parse_conll(text, strict=False):
-    """Parse CONLL text (a string, or an open text file read line by line)
-    into records.
+def iter_conll(lines, skipped, strict=False):
+    """Yield the records of CONLL lines (an iterable of strings, such as an
+    open text file), each as its block ends, so a caller holds only the
+    records it keeps.
 
-    Returns (records, skipped) where skipped is a list of
-    {"line": int, "reason": str} entries for malformed blocks. In strict
-    mode the first malformed block raises ConllParseError instead. Each
-    distinct token and tag string is stored once per parse, and every
-    record holds that one object.
+    Each malformed block is appended to skipped, a caller's list, as a
+    {"line": int, "reason": str} entry; in strict mode the first one raises
+    ConllParseError instead. Each distinct token and tag string is stored
+    once per call, and every record holds that one object.
     """
-    lines = io.StringIO(text) if isinstance(text, str) else text
-    records, skipped, tokens_seen, tag_of = [], [], {}, {}
+    tokens_seen, tag_of = {}, {}
     block, block_start = [], None
-
-    def flush():
-        try:
-            records.append(_parse_block(block, block_start, tokens_seen, tag_of))
-        except ConllParseError as exc:
-            if strict:
-                raise
-            skipped.append({"line": block_start, "reason": str(exc)})
-
-    for lineno, raw in enumerate(lines, start=1):
+    # a blank line past the end ends the last block
+    for lineno, raw in enumerate(chain(lines, ("",)), start=1):
         line = raw.rstrip("\r\n")
         if line.strip():
             if not block:
                 block_start = lineno
             block.append(line)
         elif block:
-            flush()
+            try:
+                record = _parse_block(block, block_start, tokens_seen, tag_of)
+            except ConllParseError as exc:
+                if strict:
+                    raise
+                skipped.append({"line": block_start, "reason": str(exc)})
+            else:
+                yield record
             block = []
-    if block:
-        flush()
-    return records, skipped
+
+
+def parse_conll(text, strict=False):
+    """(records, skipped) of CONLL text (a string, or an open text file read
+    line by line): iter_conll's records as one list, and its skipped blocks."""
+    skipped = []
+    lines = io.StringIO(text) if isinstance(text, str) else text
+    return list(iter_conll(lines, skipped, strict)), skipped
 
 
 def serialize_conll(records):
@@ -170,15 +174,22 @@ def serialize_conll(records):
     return "\n".join(out) + "\n" if out else ""
 
 
-def read_conll_file(path, strict=False):
-    """parse_conll of a UTF-8 file; ConllParseError naming the offset of the
-    first byte that is not UTF-8, if one is."""
+def iter_conll_file(path, skipped, strict=False):
+    """iter_conll of a UTF-8 file, read as the records are taken; a byte that
+    is not UTF-8, wherever it lies, raises ConllParseError naming its offset
+    when the read reaches it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_conll(fh, strict=strict)
+            yield from iter_conll(fh, skipped, strict)
         except UnicodeDecodeError as exc:
             raise ConllParseError(f"{path}: not UTF-8 at byte {_bad_byte(fh.buffer)}: "
                                   f"{exc.reason}") from exc
+
+
+def read_conll_file(path, strict=False):
+    """(records, skipped) of a UTF-8 file: iter_conll_file's records as one list."""
+    skipped = []
+    return list(iter_conll_file(path, skipped, strict)), skipped
 
 
 def _bad_byte(fh):

@@ -216,13 +216,12 @@ class ConvBlock:
         gets it), and X is read for its shape alone. taps, if given, is the
         tap table of the rows inv names, built over a wider scope than the
         batch (train.predict), and the layout's rows are not read."""
-        R = T.relu(T.conv1d(X, self.filters.value, self.bias.value, self.stride,
-                            layout, taps))
+        Z = T.conv1d(X, self.filters.value, self.bias.value, self.stride, layout, taps)
+        R = T.relu(Z, out=Z)  # in place, as is the mask: one [B, u', f] array
         if self.global_pool:
             pool, stride = R.shape[-2], 1
             if lengths is not None:
-                valid = np.arange(pool) < self._conv_len(np.asarray(lengths))[:, None]
-                R = np.where(valid[..., None], R, -np.inf)
+                R[np.arange(pool) >= self._conv_len(np.asarray(lengths))[:, None]] = -np.inf
         else:
             pool, stride = self.pool, self.pool_stride
         C = T.maxpool1d(R, pool, stride)

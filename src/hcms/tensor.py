@@ -67,6 +67,11 @@ _THREADS = contextvars.ContextVar("threads", default=(None, 1))
 # 8-wide model's write 256 to 2k.
 _MIN_WORK = 1 << 16
 
+# Scalars one conv1d tap gather may hold (8 MiB): the conv output is then the
+# forward's only array that grows with a batch's longest example. At the
+# default dims a whole batch of 32 is one gather of 0.26M.
+_GATHER = 1 << 20
+
 
 @contextlib.contextmanager
 def threads(w):
@@ -232,11 +237,15 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
         taps = tap_table(rows, filters)
     out = np.empty((len(inv), v, f))
 
-    def add_taps(at):  # the bias plus each tap's table rows, for examples at
-        part = out[at]
-        np.add(taps[0].take(inv[at, _strided(v, stride)], axis=0), bias, out=part)
-        for j in range(1, k):
-            part += taps[j].take(inv[at, _strided(v, stride, j)], axis=0)
+    def add_taps(at):  # the bias plus each tap's table rows, for examples at,
+        # in runs of positions whose gathers hold at most _GATHER scalars
+        n = max(1, _GATHER // ((at.stop - at.start) * f))
+        for p in range(0, v, n):
+            part, m = out[at, p:p + n], min(n, v - p)
+            np.add(taps[0].take(inv[at, _strided(m, stride, p * stride)], axis=0), bias,
+                   out=part)
+            for j in range(1, k):
+                part += taps[j].take(inv[at, _strided(m, stride, p * stride + j)], axis=0)
 
     map_rows(len(inv), add_taps, out.size)
     return out.reshape(x.shape[:-2] + (v, f))
@@ -278,8 +287,9 @@ def conv1d_backward(dout, x, filters, stride, layout):
 # ---------------------------------------------------------------------------
 # relu
 
-def relu(x):
-    return np.maximum(0.0, as_tensor(x))
+def relu(x, out=None):
+    """max(0, x); out=x rectifies a fresh array in place."""
+    return np.maximum(0.0, as_tensor(x), out=out)
 
 
 def relu_backward(dout, x):

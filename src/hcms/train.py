@@ -264,9 +264,9 @@ def predict(model, corpus, batch_size):
     batch's _width), the most one batch's table holds, all in one buffer. Each
     batch's conv tap gathers and attention pair scores are split by examples
     across one thread per cpus() (tensor.threads), threads that live for this
-    call alone, or for the enclosing train; at most batch_size examples are
-    in flight across them, and labels and probabilities do not depend on the
-    CPU count."""
+    call alone, or for an enclosing block (train's, the predict command's);
+    at most batch_size examples are in flight across them, and labels and
+    probabilities do not depend on the CPU count."""
     cap = batch_size * _width(model, corpus.lengths)
     f, k, _ = model.conv.filters.shape
     # one buffer for every chunk's table: tables allocated and freed chunk by

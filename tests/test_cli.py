@@ -1,14 +1,19 @@
+import hashlib
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import hcms
+import hcms.tensor
+import hcms.train
+from hcms import cli as cli_module
 
 from hcms.cli import _model_config, load_run_config, main
 from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, clean,
@@ -179,13 +184,20 @@ def test_predict_independent_of_cpu_count(corpus_files, trained, tmp_path):
     assert outs[0] == outs[1] and outs[0].count(b"\n") == 10
 
 
+def _with_empty(records, at):
+    """records renamed r0, r1, ..., the ones at positions at cleaning to nothing."""
+    records = [type(r)(id=f"r{i}", tokens=r.tokens, lang_tags=r.lang_tags)
+               for i, r in enumerate(records)]
+    for i in at:
+        records[i] = type(records[i])(id=f"r{i}", tokens=["@user", "http://t.co/x", "#"],
+                                      lang_tags=["O", "O", "O"])
+    return records
+
+
 def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
     # 11 records in chunks of 4; record 5, mid-chunk, cleans to nothing
     records = parse_conll((corpus_files / "unlabeled.conll").read_text(encoding="utf-8"))[0]
-    records = [type(r)(id=f"r{i}", tokens=r.tokens, lang_tags=r.lang_tags)
-               for i, r in enumerate(records + records[:1])]
-    records[5] = type(records[5])(id="r5", tokens=["@user", "http://t.co/x", "#"],
-                                  lang_tags=["O", "O", "O"])
+    records = _with_empty(records + records[:1], (5,))
     path = tmp_path / "in.conll"
     path.write_text(serialize_conll(records), encoding="utf-8")
     code = main(["predict", "--checkpoint", str(trained / "model.ckpt"),
@@ -202,6 +214,56 @@ def test_predict_chunks_keep_input_order(corpus_files, trained, tmp_path):
         expected.append(f"{r.id}\t{LABELS[predict(model, ids, lang)]}")
     lines = (tmp_path / "out" / "predictions.tsv").read_text(encoding="utf-8").splitlines()
     assert lines == expected
+
+
+def test_predict_windows_match_one_window(corpus_files, trained, tmp_path, monkeypatch):
+    # 11 records in windows of 3 and batches of 4, so windows and batches do
+    # not align; records 5 and 6, each side of a window edge, clean to nothing
+    records = parse_conll((corpus_files / "unlabeled.conll").read_text(encoding="utf-8"))[0]
+    records = _with_empty(records + records[:1], (5, 6))
+    path = tmp_path / "in.conll"
+    path.write_text(serialize_conll(records), encoding="utf-8")
+    ckpt = trained / "model.ckpt"
+    whole = predict_lines(ckpt, path, tmp_path / "whole")  # one window
+    assert whole == [f"{r.id}\t{LABELS[p]}"
+                     for r, p in zip(records, oracle_labels(ckpt, records))]
+    monkeypatch.setattr(cli_module, "PREDICT_WINDOW", 3)
+    probs, labels = [], HCMSModel._labels
+    monkeypatch.setattr(HCMSModel, "_labels",
+                        lambda m, p: probs.append(p.tobytes()) or labels(m, p))
+    monkeypatch.setattr(hcms.tensor, "_MIN_WORK", 0)  # a tiny model's ops split too
+    digests = []
+    for workers in (1, 2, 3):
+        # the command's pool and each window's predict take the same count
+        monkeypatch.setattr(cli_module, "cpus", lambda: workers)
+        monkeypatch.setattr(hcms.train, "cpus", lambda: workers)
+        probs.clear()
+        assert predict_lines(ckpt, path, tmp_path / str(workers)) == whole
+        assert len(probs) == 4  # one batch a window
+        digests.append(hashlib.sha256(b"".join(probs)).hexdigest())
+    assert digests == digests[:1] * 3
+
+
+def test_predict_front_end_is_bounded_by_a_window(trained, tmp_path, monkeypatch):
+    # predict stubbed out, the command's parse, clean, encode and prepare of
+    # 4N records peak within 10% of their peak over N: each window of 64
+    # records is freed before the next is read (at one window a file, the 4N
+    # peak is about 4 times the N peak)
+    monkeypatch.setattr(cli_module, "PREDICT_WINDOW", 64)
+    monkeypatch.setattr(cli_module, "predict", lambda model, corpus, batch_size:
+                        [0] * len(corpus.lengths))
+    records, peaks = load_mini_corpus(), []
+    for n in (512, 2048):
+        path = tmp_path / f"{n}.conll"
+        path.write_text(serialize_conll(_with_empty((records * n)[:n], ())), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["predict", "--checkpoint", str(trained / "model.ckpt"),
+                         "--input", str(path), "--out-dir", str(tmp_path / str(n))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def oracle_labels(checkpoint, records):
@@ -471,21 +533,40 @@ def test_store_checked_again_once_the_vocab_is_known(corpus_files, tmp_path, mon
     assert list(out.iterdir()) == []
 
 
-def test_non_utf8_corpus_exit_code(corpus_files, trained, tmp_path, capsys):
+def test_non_utf8_corpus_exit_code(corpus_files, trained, tmp_path, capsys, monkeypatch):
     # byte 0xff at the start of a token line: a corpus error that names its
     # offset, with no output file, on every command that parses the corpus
     raw = (corpus_files / "unlabeled.conll").read_bytes()
     at = raw.index(b"\n", raw.index(b"meta", 1)) + 1
     bad = tmp_path / "bad.conll"
     bad.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    ckpt = str(trained / "model.ckpt")
     commands = {"train": ["--train", str(bad), *FAST],
-                "predict": ["--checkpoint", str(trained / "model.ckpt"), "--input", str(bad)],
+                "predict": ["--checkpoint", ckpt, "--input", str(bad)],
                 "preprocess": ["--input", str(bad)]}
     for command, args in commands.items():
         out = tmp_path / command
         assert main([command, *args, "--out-dir", str(out)]) == 3
         assert f"not UTF-8 at byte {at}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+    # past predict's first windows of 3 records and the text reader's first
+    # chunks, so some windows' lines are written before the error: the run
+    # still leaves no output, not even its partial file
+    raw = serialize_conll(_with_empty(parse_conll(raw.decode("utf-8"))[0] * 20, ())).encode()
+    late = raw.index(b"\n", raw.index(b"meta\tr150\n")) + 1
+    bad.write_bytes(raw[:late] + b"\xff" + raw[late:])
+    monkeypatch.setattr(cli_module, "PREDICT_WINDOW", 3)
+    windows, predict_window = [], cli_module.predict
+    monkeypatch.setattr(cli_module, "predict", lambda *a: windows.append(1) or predict_window(*a))
+    out = tmp_path / "late"
+    assert main(["predict", "--checkpoint", ckpt, "--input", str(bad), "--out-dir", str(out)]) == 3
+    assert f"not UTF-8 at byte {late}" in capsys.readouterr().err
+    assert windows and list(out.iterdir()) == []
+    # a missing input exits 2 before anything is written
+    out = tmp_path / "missing"
+    assert main(["predict", "--checkpoint", ckpt, "--input", str(tmp_path / "nope.conll"),
+                 "--out-dir", str(out)]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_checkpoint_exit_code(corpus_files, trained, tmp_path):

@@ -341,6 +341,25 @@ def test_prepare_peak_grows_with_the_long_example_alone(rng):
     assert peaks[1] - peaks[0] < 16 * 8 * n
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_global_pool_batch_holds_one_conv_output(rng, workers, monkeypatch):
+    # one batch of 31 ten-token examples and one of 20,000 tokens: its conv
+    # output R [32, 19,999, 8] (39 MiB) is rectified and masked in place, and
+    # the tap gathers run in bounded blocks, so predict never holds two copies
+    m = HCMSModel(tiny_config(filters=8, global_pool=True, include_self=True), seed=0)
+    n = 20_000
+    data = [(rng.integers(2, 16, size=10).tolist(), None, 0) for _ in range(31)]
+    corpus = prepare(m, [*data, (rng.integers(2, 16, size=n).tolist(), None, 0)])
+    monkeypatch.setattr(train_module, "cpus", lambda: workers)
+    tracemalloc.start()
+    try:
+        predict(m, corpus, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 32 * (n - 1) * 8 * 8
+
+
 @pytest.mark.parametrize("tags", [[0, 1, 2, 3, 0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 3, 0, 4],
                                   [0, 1, 2, -1, 0, 1]],
                          ids=["longer", "shorter", "past_the_tags", "negative"])
