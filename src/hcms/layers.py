@@ -11,10 +11,14 @@ rows, each named by its key from HCMSModel.key once per corpus, with no
 it, so each backward needs a fresh forward with keep and a model is
 single-writer during training. An inference forward, without keep, caches
 nothing and builds no tanh tensor. Gradients accumulate into
-Parameter.grad, summed over the batch. Layers hold no init code:
-HCMSModel allocates one store, binds each ModelConfig.param_shapes() name
-(conv.filters is ConvBlock.filters) to a Parameter viewing it, then draws
-it by init_parameters or adopts a checkpoint's data section as it.
+Parameter.grad, summed over the batch: the embedding table's as the list
+of its backward calls' (ids, sums) pairs, the distinct non-PAD rows each
+batch touched, with no [vocab, dim] array; every other parameter's into a
+view of the store's grad, which covers the scalars after the table. Layers
+hold no init code: HCMSModel allocates one store, binds each
+ModelConfig.param_shapes() name (conv.filters is ConvBlock.filters) to a
+Parameter viewing it, then draws it by init_parameters or adopts a
+checkpoint's data section as it.
 """
 
 import math
@@ -132,9 +136,12 @@ class ModelConfig:
         if pooled < need:
             raise ConfigError(f"max_len {self.max_len} gives {pooled} pooled "
                               f"position(s), the model needs {need}")
-        # float64 value, gradient and two Adam moments per parameter scalar,
-        # checked before any of them is allocated
-        size = 4 * 8 * sum(math.prod(shape) for shape in self.param_shapes().values())
+        # float64 value and two Adam moments per parameter scalar, and a
+        # gradient per scalar after the embedding table (whose gradient is
+        # its batches' rows), checked before any of them is allocated
+        shapes = self.param_shapes()
+        scalars = sum(math.prod(shape) for shape in shapes.values())
+        size = 8 * (4 * scalars - math.prod(shapes["embedding.table"]))
         if size > (memory := os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")):
             raise ConfigError(f"the model's parameters, gradients and Adam moments "
                               f"need {size} bytes, more than the {memory} bytes of "
@@ -188,10 +195,11 @@ class EmbeddingLayer:
     def backward(self, dK, ids):
         """dK [n, dim] is the gradient at n rows of a forward's conv input and
         ids [n] their token ids (see HCMSModel.conv_rows). Sums dK by id and
-        adds each sum to its table row once; PAD gets no gradient."""
+        appends the distinct ids and their sums to table.grad, the row-sparse
+        gradient (tensor.Parameter); PAD gets no gradient."""
         ids, sums = T.group_sum(ids, dK)
         first = ids.searchsorted(1)  # PAD sorts first
-        self.table.grad[ids[first:]] += sums[first:]
+        self.table.grad.append((ids[first:], sums[first:]))
 
 
 class ConvBlock:
@@ -364,15 +372,18 @@ class HCMSModel:
                           if cfg.attention_enabled else None)
         shapes = cfg.param_shapes()
         ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
-        self.store = Parameter(np.zeros(ends[-1]) if values is None else values)
-        # each parameter is a value/grad view pair into the store, bound at
-        # its name's attribute path
+        # the store's grad starts after the embedding table, first in store
+        # order, whose gradient is the row-sparse list of its backward calls
+        self.store = Parameter(np.zeros(ends[-1]) if values is None else values,
+                               np.zeros(ends[-1] - ends[0]))
+        grads = [[], *np.split(self.store.grad, ends[1:-1] - ends[0])]
+        # each parameter is a value view into the store and its grad, bound
+        # at its name's attribute path
         for (name, shape), value, grad in zip(shapes.items(),
-                                              np.split(self.store.value, ends[:-1]),
-                                              np.split(self.store.grad, ends[:-1])):
+                                              np.split(self.store.value, ends[:-1]), grads):
             layer, attr = name.split(".")
-            setattr(getattr(self, layer), attr,
-                    Parameter(value.reshape(shape), grad.reshape(shape)))
+            grad = grad if isinstance(grad, list) else grad.reshape(shape)
+            setattr(getattr(self, layer), attr, Parameter(value.reshape(shape), grad))
         if values is None:
             init_parameters(self.parameters(), np.random.default_rng(seed))
 
@@ -382,6 +393,7 @@ class HCMSModel:
 
     def zero_grad(self):
         self.store.zero_grad()
+        self.embedding.table.zero_grad()
 
     def key(self, ids, lang=None):
         """(keys, inv) of ids and their tag indices (len(LANG_TAGS): no tag),

@@ -30,7 +30,14 @@ def as_tensor(x):
 
 
 class Parameter:
-    """A trainable tensor and its gradient, of one shape; both may be views of a store."""
+    """A trainable tensor and its gradient; both may be views of a store.
+
+    grad is an array of value's shape, with two exceptions in HCMSModel. The
+    embedding table's is row-sparse: a list of (ids, sums) pairs, one per
+    backward call, each of distinct sorted row ids and their gradient rows;
+    its dense gradient is 0.0 plus each pair's sums at its ids, in call
+    order, and no [rows, dim] array of it is ever built. The store's grad
+    covers only the scalars after that table (see train.adam_step)."""
 
     def __init__(self, value, grad=None):
         self.value = as_tensor(value)
@@ -41,7 +48,10 @@ class Parameter:
         return self.value.shape
 
     def zero_grad(self):
-        self.grad.fill(0.0)
+        if isinstance(self.grad, list):
+            self.grad.clear()
+        else:
+            self.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

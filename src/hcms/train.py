@@ -133,25 +133,50 @@ class AdamState:
 _BLOCK = 1 << 15
 
 
-def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
-    """Standard bias-corrected Adam update, in place; zeroes the gradient
-    afterwards. Runs block by block over the flattened arrays, with the same
-    per-element operations in the same order as one pass over the whole; the
-    blocks are split into contiguous runs across tensor.map_rows's threads,
-    each run with its own scratch, so the bits do not depend on the split."""
+def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig, table=None):
+    """Standard bias-corrected Adam update, in place; clears the gradient
+    afterwards. table, if given, is the Parameter of param's leading
+    [rows, dim] scalars (HCMSModel's embedding table), whose gradient is
+    row-sparse (tensor.Parameter), and param.grad is that of the scalars
+    after it; without it param.grad is param's whole gradient.
+
+    Runs block by block over the flattened arrays, in blocks of whole table
+    rows. Each block's gradient is built in the thread's zeroed scratch: the
+    pairs' rows that fall in the block are added in call order, the bits of
+    a dense gradient accumulated from 0.0, and param.grad's part is moved in
+    (and zeroed). Every block runs the same per-element operations in the
+    same order as one pass over the whole; the blocks are split into
+    contiguous runs across tensor.map_rows's threads, each run with its own
+    scratch, so the bits do not depend on the split."""
     state.step += 1
     m_scale = 1.0 - cfg.beta1 ** state.step
     v_scale = 1.0 - cfg.beta2 ** state.step
     value, grad, m, v = (a.reshape(-1, copy=False)
                          for a in (param.value, param.grad, state.m, state.v))
+    head = value.size - grad.size  # the table's scalars
+    rows, width = (table.grad, table.shape[1]) if table is not None else ([], 1)
+    block_rows = max(1, _BLOCK // width)
+    per_block = width * block_rows
+    # each pair cut at every block's first row, its ids as rows of their block
+    edges = np.arange(0, head // width + block_rows, block_rows)
+    pairs = [(ids.searchsorted(edges), ids % block_rows, sums) for ids, sums in rows]
 
     def update(blocks):
-        scratch = np.empty(min(value.size, _BLOCK))
-        for start in range(blocks.start * _BLOCK, min(blocks.stop * _BLOCK, value.size),
-                           _BLOCK):
-            blk = slice(start, start + _BLOCK)
-            g, mb, vb = grad[blk], m[blk], v[blk]
-            t = scratch[:g.size]
+        # t and the block's gradient g, zero as each block leaves them
+        scratch_t, scratch_g = np.zeros((2, min(value.size, per_block)))
+        end = min(blocks.stop * per_block, value.size)
+        for start in range(blocks.start * per_block, end, per_block):
+            blk = slice(start, min(start + per_block, end))
+            t, g = scratch_t[:blk.stop - start], scratch_g[:blk.stop - start]
+            if start < head:  # 0.0 plus the pairs' rows in the block
+                table_g, i = g[:head - start].reshape(-1, width), start // per_block
+                for cut, local, sums in pairs:
+                    table_g[local[cut[i]:cut[i + 1]]] += sums[cut[i]:cut[i + 1]]
+            if blk.stop > head:  # param.grad's part, moved into g
+                dense = grad[max(start - head, 0):blk.stop - head]
+                g[g.size - dense.size:] = dense
+                dense.fill(0.0)
+            mb, vb = m[blk], v[blk]
             mb *= cfg.beta1
             np.multiply(1.0 - cfg.beta1, g, out=t)
             mb += t
@@ -170,17 +195,21 @@ def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig):
             value[blk] -= g
             g.fill(0.0)
 
-    T.map_rows(-(-value.size // _BLOCK), update, value.size)
+    T.map_rows(-(-value.size // per_block), update, value.size)
+    if table is not None:
+        table.zero_grad()
 
 
-def check_gradient(grad, where):
-    """DivergenceError unless the squared norm grad @ grad is finite; the
-    message tells a NaN or inf element from finite elements whose norm
-    overflows."""
+def check_gradient(grad, rows, where):
+    """DivergenceError unless the squared norm of a gradient is finite: the
+    dense grad's grad @ grad plus the squares of each row-sparse (ids, sums)
+    pair's sums (tensor.Parameter). The message tells a NaN or inf element
+    from finite elements whose norm overflows."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        norm = grad @ grad
+        norm = grad @ grad + sum(np.vdot(sums, sums) for _, sums in rows)
     if not np.isfinite(norm):
-        if bad := np.count_nonzero(~np.isfinite(grad)):
+        if bad := sum(np.count_nonzero(~np.isfinite(a))
+                      for a in (grad, *(sums for _, sums in rows))):
             raise DivergenceError(f"{where}: gradient has {bad} NaN or inf values")
         raise DivergenceError(f"{where}: gradient norm overflows (every element "
                               "is finite)")
@@ -316,7 +345,7 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
     corpus = prepare(model, train_data)  # a bad id in either fails before any step
     val = prepare(model, val_data) if val_data else None
     rng = np.random.default_rng(tcfg.seed)
-    store, state = model.store, AdamState(model.store)
+    store, state, table = model.store, AdamState(model.store), model.embedding.table
     best_f1, best_snapshot = -1.0, None
     log = []
     order = np.arange(len(train_data))
@@ -336,8 +365,9 @@ def train(model: HCMSModel, train_data, val_data, tcfg: TrainConfig,
                 total_loss += loss
                 # mean over the batch so lr is batch-size-insensitive
                 model.backward(cross_entropy_softmax_grad(y, probs) / len(idx))
-                check_gradient(store.grad, f"epoch {epoch}, step {state.step + 1}")
-                adam_step(store, state, ocfg)
+                check_gradient(store.grad, table.grad,
+                               f"epoch {epoch}, step {state.step + 1}")
+                adam_step(store, state, ocfg, table)
             entry = {"epoch": epoch, "train_loss": total_loss / len(order)}
             if val:
                 trues, preds = evaluate(model, val, tcfg.batch_size)

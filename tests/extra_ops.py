@@ -22,7 +22,9 @@ one-hot rows and named each conv row by its first flat position: one
 np.unique over the rows, and a gather at those positions; it is the oracle
 of HCMSModel.key's fixed tag codes and of conv_rows' decoding of them.
 make_layer builds one model layer on its own, its parameters drawn by the
-model's init table.
+model's init table. dense_grad is a parameter's gradient as one array: the
+embedding table's row-sparse gradient densified, the oracle of the dense
+[vocab, dim] gradient that the library never builds.
 """
 
 import numpy as np
@@ -57,12 +59,27 @@ def make_layer(layer, dims, rng):
     (vocab, dim) for the embedding, (in_dim, filters) for the conv block,
     (dim, hidden) for the attention and (in_dim, classes) for the head."""
     name, shapes = LAYER_SHAPES[type(layer)]
-    params = {f"{name}.{attr}": Parameter(np.zeros(shape))
+    # the embedding table's gradient is row-sparse, as in HCMSModel
+    params = {f"{name}.{attr}": Parameter(np.zeros(shape),
+                                          [] if type(layer) is EmbeddingLayer else None)
               for attr, shape in shapes(layer, *dims).items()}
     init_parameters(params, rng)
     for key, param in params.items():
         setattr(layer, key.split(".")[1], param)
     return layer
+
+
+def dense_grad(param):
+    """param's gradient as a new array of its shape. A row-sparse gradient's
+    (ids, sums) pairs (tensor.Parameter) are added onto 0.0 at their ids in
+    call order, the bits of the dense gradient that each backward once added
+    its sums to, and of each block that adam_step builds."""
+    if not isinstance(param.grad, list):
+        return param.grad.copy()
+    grad = np.zeros(param.shape)
+    for ids, sums in param.grad:
+        grad[ids] += sums
+    return grad
 
 
 # ---------------------------------------------------------------------------

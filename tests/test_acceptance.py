@@ -24,7 +24,7 @@ from hcms.train import (AdamState, OptimizerConfig, Parameter, TrainConfig,
                         evaluate, load_checkpoint, prepare, save_checkpoint,
                         train)
 from conftest import assert_close, central_diff
-from extra_ops import cross_entropy_backward, forward, make_layer
+from extra_ops import cross_entropy_backward, dense_grad, forward, make_layer
 from test_corpus import _random_records
 from test_layers import attention_oracle
 from test_metrics import oracle as metrics_oracle
@@ -121,7 +121,7 @@ def test_gradient_suite():
         m.zero_grad()
         m.backward(cross_entropy_softmax_grad(y, forward(m, ids)))
         for name, par in m.parameters().items():
-            grad = par.grad.copy()
+            grad = dense_grad(par)
 
             def f(a_, par=par):
                 saved = par.value.copy()

@@ -520,8 +520,11 @@ def test_store_checked_again_once_the_vocab_is_known(corpus_files, tmp_path, mon
     # physical memory that holds the config-time model (the smallest vocab)
     # but not the one the corpus's vocabulary gives: exit 5, no output
     cfg = load_run_config(None, FAST[1::2])
-    need = 4 * 8 * sum(math.prod(shape) for shape in
-                       _model_config(cfg, 2).param_shapes().values())
+    shapes = _model_config(cfg, 2).param_shapes()
+    # value and two Adam moments per scalar, and a gradient per scalar after
+    # the embedding table
+    need = 8 * (4 * sum(map(math.prod, shapes.values()))
+                - math.prod(shapes["embedding.table"]))
     sysconf = os.sysconf
     monkeypatch.setattr(os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1,
                                                      "SC_PHYS_PAGES": need}.get(name)

@@ -7,8 +7,8 @@ from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import (conv_forward, fit_batch, forward, lang_onehot, make_layer, predict,
-                       unique_rows)
+from extra_ops import (conv_forward, dense_grad, fit_batch, forward, lang_onehot,
+                       make_layer, predict, unique_rows)
 
 
 def attention_oracle(C, layer):
@@ -62,8 +62,9 @@ def test_embed_backward_skips_pad(rng):
     layer = make_layer(EmbeddingLayer(), (5, 3), rng)
     keys, dK = T.group_sum(np.array([0, 2, 2]), np.ones((3, 3)))
     layer.backward(dK, keys)
-    assert np.all(layer.table.grad[0] == 0)
-    assert np.all(layer.table.grad[2] == 2)
+    assert np.all(dense_grad(layer.table)[0] == 0)
+    assert np.all(dense_grad(layer.table)[2] == 2)
+    assert [ids.tolist() for ids, _ in layer.table.grad] == [[2]]  # no PAD row kept
 
 
 def test_embed_backward_matches_scatter(rng):
@@ -73,15 +74,35 @@ def test_embed_backward_matches_scatter(rng):
     layer = make_layer(EmbeddingLayer(), (6, 3), rng)
     ids = rng.integers(0, 6, size=(4, 9))
     dX = rng.uniform(-1, 1, size=(4, 9, 3))
-    want = np.zeros_like(layer.table.grad)
+    want = np.zeros(layer.table.shape)
     np.add.at(want, ids[ids != 0], dX[ids != 0])
     keys, dK = T.group_sum(ids + 6 * rng.integers(0, 3, size=ids.shape),
                            dX.reshape(-1, 3))
     layer.backward(dK, keys % 6)
-    assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
+    assert_close(dense_grad(layer.table), want, rtol=1e-12, atol=1e-12)
     keys, dK = T.group_sum(np.zeros(10, dtype=np.int64), dX[:2, :5].reshape(-1, 3))
     layer.backward(dK, keys)  # all PAD: no gradient
-    assert_close(layer.table.grad, want, rtol=1e-12, atol=1e-12)
+    assert_close(dense_grad(layer.table), want, rtol=1e-12, atol=1e-12)
+
+
+def test_embed_backward_calls_add_up_in_call_order(rng):
+    # two backward calls before one step keep two (ids, sums) pairs, whose
+    # densified sum has the bits of the dense gradient each call once added
+    # its sums to: 0.0 + sums of the first + sums of the second, row by row
+    layer = make_layer(EmbeddingLayer(), (7, 3), rng)
+    want = np.zeros(layer.table.shape)
+    for _ in range(2):
+        ids = rng.integers(0, 7, size=12)
+        dK = rng.normal(size=(12, 3))
+        keys, sums = T.group_sum(ids, dK)
+        want[keys[keys != 0]] += sums[keys != 0]
+        layer.backward(dK, ids)
+    assert len(layer.table.grad) == 2
+    assert all(np.array_equal(ids, np.unique(ids)) and ids[0] > 0
+               for ids, _ in layer.table.grad)  # distinct, sorted, no PAD
+    assert dense_grad(layer.table).tobytes() == want.tobytes()
+    layer.table.zero_grad()
+    assert layer.table.grad == []
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +303,7 @@ def test_end_to_end_gradcheck(rng):
     m.zero_grad()
     m.backward(cross_entropy_softmax_grad(y, forward(m, ids)))
     for name, par in m.parameters().items():
-        grad = par.grad.copy()
+        grad = dense_grad(par)
 
         def f(a, par=par):
             saved = par.value.copy()
@@ -304,7 +325,7 @@ def test_lang_feature_model(rng):
     # backward runs and only embeds real token gradients
     m.zero_grad()
     m.backward(cross_entropy_softmax_grad(np.array([1.0, 0, 0]), p))
-    assert np.all(m.embedding.table.grad[0] == 0)
+    assert np.all(dense_grad(m.embedding.table)[0] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +365,14 @@ def test_batched_matches_stacked(rng, overrides):
         probs.append(forward(m, ids, tags))
         m.backward(cross_entropy_softmax_grad(y, probs[-1]))
         for k, p in params.items():
-            grads[k] += p.grad
+            grads[k] += dense_grad(p)
 
     m.zero_grad()
     P = forward(m, *fit_batch(m, examples))
     m.backward(cross_entropy_softmax_grad(Y, P))
     assert_close(P, np.stack(probs), rtol=0, atol=1e-12)
     for k, p in params.items():
-        assert_close(p.grad, grads[k], rtol=0, atol=1e-12)
+        assert_close(dense_grad(p), grads[k], rtol=0, atol=1e-12)
 
 
 def test_global_pool_masks_padding(rng):
@@ -386,7 +407,7 @@ def test_batched_loss_gradcheck(rng):
         numeric = central_diff(f, par.value.copy())
         if name == "embedding.table":
             numeric[0] = 0.0  # PAD row is frozen by design
-        assert_close(par.grad, numeric, rtol=1e-3)
+        assert_close(dense_grad(par), numeric, rtol=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +436,7 @@ def test_step_gathers_only_distinct_rows(rng, monkeypatch):
     m.backward(cross_entropy_softmax_grad(Y, forward(m, ids, lang, lengths)))
     distinct = set(zip(ids.ravel().tolist(), lang.ravel().tolist()))
     assert gathers == [(len(distinct),)]
-    assert np.abs(m.embedding.table.grad).max() > 0
+    assert np.abs(dense_grad(m.embedding.table)).max() > 0
 
 
 def test_backward_needs_fresh_forward(rng):
@@ -488,15 +509,16 @@ def test_keyed_forward_matches_unkeyed(rng, overrides):
 
 
 def unkeyed_backward(m, ids, dlogits):
-    """HCMSModel.backward after unkeyed_forward: the conv's dX has a row per
-    position, and each non-PAD position's gradient is scattered onto its
-    table row."""
+    """HCMSModel.backward after unkeyed_forward, up to the embedding: the
+    conv's dX has a row per position. Returns the table's dense gradient,
+    each non-PAD position's gradient scattered onto its row."""
     dG = m.head.backward(dlogits)
     dC = m.attention.backward(dG) if m.attention is not None else dG.reshape(
         len(ids), -1, m.config.filters)
     dX = m.conv.backward(dC)[0].reshape(ids.shape + (-1,))
-    real = ids != 0
-    np.add.at(m.embedding.table.grad, ids[real], dX[..., :m.config.embed_dim][real])
+    real, grad = ids != 0, np.zeros(m.embedding.table.shape)
+    np.add.at(grad, ids[real], dX[..., :m.config.embed_dim][real])
+    return grad
 
 
 @pytest.mark.parametrize("overrides", KEYED_CONFIGS.values(), ids=KEYED_CONFIGS)
@@ -506,12 +528,14 @@ def test_keyed_backward_matches_unkeyed(rng, overrides):
     batch = keyed_batch(rng, m)
     Y = np.eye(3)[rng.integers(3, size=len(batch[0]))]
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *batch)))
-    keyed = {name: p.grad.copy() for name, p in m.parameters().items()}
+    keyed = {name: dense_grad(p) for name, p in m.parameters().items()}
     m.zero_grad()
-    unkeyed_backward(m, batch[0], cross_entropy_softmax_grad(Y, unkeyed_forward(m, *batch)))
+    table = unkeyed_backward(m, batch[0],
+                             cross_entropy_softmax_grad(Y, unkeyed_forward(m, *batch)))
     assert all(np.abs(keyed[name]).max() > 0 for name in ("embedding.table", "conv.filters"))
     for name, p in m.parameters().items():
-        assert_close(keyed[name], p.grad, rtol=0, atol=1e-12)
+        assert_close(keyed[name], table if name == "embedding.table" else p.grad,
+                     rtol=0, atol=1e-12)
 
 
 def test_forward_checks_ids_before_keying():
@@ -522,10 +546,11 @@ def test_forward_checks_ids_before_keying():
     good = fit_batch(m, [([15], [1]), ([3], [0])])
     Y = np.eye(3)[[0, 1]]
     m.backward(cross_entropy_softmax_grad(Y, forward(m, *good)))
-    grads = m.store.grad.copy()
+    grads = [dense_grad(p) for p in m.parameters().values()]
     bad = fit_batch(m, [([15], [1]), ([-1], [0])])
     with pytest.raises(VocabularyError):
         forward(m, *bad)
     with pytest.raises(NoForwardError):  # the failed forward left nothing to backward
         m.backward(cross_entropy_softmax_grad(Y, np.full(Y.shape, 1 / 3)))
-    assert m.store.grad.tobytes() == grads.tobytes()
+    assert [dense_grad(p).tobytes() for p in m.parameters().values()] == [
+        g.tobytes() for g in grads]

@@ -174,8 +174,8 @@ def test_tree_ids_name_what_a_commit_would_hold(tmp_path):
 
 
 def test_predict_peak_quick(tmp_path, monkeypatch, capsys):
-    # bench/predict_peak.py --quick on both sides, HEAD's export stood in for by
-    # a copy of this checkout's src/, so no git history is needed
+    # bench/predict_peak.py --quick in each mode on both sides, HEAD's export
+    # stood in for by a copy of this checkout's src/, so no git history is needed
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, ""))  # perfbench/run.py sets them
     spec = importlib.util.spec_from_file_location("predict_peak",
@@ -184,9 +184,11 @@ def test_predict_peak_quick(tmp_path, monkeypatch, capsys):
     spec.loader.exec_module(peak)
     monkeypatch.setattr(peak, "export", lambda sha, dest: shutil.copytree(
         ROOT / "src", Path(dest) / "src", ignore=shutil.ignore_patterns("__pycache__")))
-    assert peak.main(["--quick"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    runs = [line for line in out if "VmHWM" in line and "exit 0" in line]
-    assert len(runs) == 4  # scales 1 and 4, one run a side
-    assert all(float(line.split("VmHWM ")[1].split()[0]) > 0 for line in runs)
-    assert sum("predictions.tsv identical on both sides" in line for line in out) == 2
+    for mode, outputs in (("predict", "predictions.tsv"),
+                          ("train", "epochs.log and model.ckpt")):
+        assert peak.main(["--quick", "--mode", mode]) == 0
+        out = capsys.readouterr().out.splitlines()
+        runs = [line for line in out if "VmHWM" in line and "exit 0" in line]
+        assert len(runs) == 4  # scales 1 and 4, one run a side
+        assert all(float(line.split("VmHWM ")[1].split()[0]) > 0 for line in runs)
+        assert sum(f"{outputs} identical on both sides" in line for line in out) == 2

@@ -2,19 +2,22 @@
 against a per-parameter reference loop."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hcms import tensor as T
+from hcms import train as train_module
 from hcms.layers import HCMSModel, ModelConfig
 from hcms.metrics import score
 from hcms.tensor import Parameter
-from hcms.train import (_BLOCK, AdamState, OptimizerConfig, TrainConfig,
+from hcms.train import (_BLOCK, AdamState, DivergenceError, OptimizerConfig, TrainConfig,
                         adam_step, cross_entropy,
                         cross_entropy_softmax_grad, evaluate, load_checkpoint,
                         prepare, save_checkpoint, train)
-from extra_ops import fit_batch, forward
+from extra_ops import dense_grad, fit_batch, forward
 from test_train import VOCAB, tiny_config, tiny_data
 
 CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
@@ -22,16 +25,23 @@ CONFIGS = {"attention_on": {}, "attention_off": {"attention_enabled": False},
 
 
 def assert_tiles_store(model):
-    """Every parameter's value and grad are contiguous views into the store,
-    one after another in parameters() order, with no gap."""
+    """Every parameter's value is a contiguous view into the store, one after
+    another in parameters() order, with no gap. The embedding table, first,
+    has a row-sparse gradient, and the store's grad starts after it: every
+    other parameter's grad is a view into it in the same order."""
     store, offset = model.store, 0
+    table = model.embedding.table
+    assert isinstance(table.grad, list)
     for p in model.parameters().values():
-        for view, flat in ((p.value, store.value), (p.grad, store.grad)):
+        views = [(p.value, store.value, offset)]
+        if p is not table:
+            views.append((p.grad, store.grad, offset - table.value.size))
+        for view, flat, at in views:
             assert np.shares_memory(view, flat)
             assert view.flags.c_contiguous
-            assert view.ctypes.data == flat.ctypes.data + offset * flat.itemsize
+            assert view.ctypes.data == flat.ctypes.data + at * flat.itemsize
         offset += p.value.size
-    assert offset == store.value.size == store.grad.size
+    assert offset == store.value.size == table.value.size + store.grad.size
 
 
 @pytest.mark.parametrize("overrides", CONFIGS.values(), ids=CONFIGS)
@@ -80,7 +90,7 @@ def test_load_draws_nothing(tmp_path, monkeypatch):
 def test_load_peak_is_below_three_stores(tmp_path):
     # the data section is read into the store itself, with no whole-file
     # bytes object and no random init beside it: a load holds the store's
-    # value and grad and little else
+    # value and grad (all but the embedding table's) and little else
     vocab = [f"tok{i}" for i in range(2000)]
     save_checkpoint(HCMSModel(ModelConfig(vocab_size=len(vocab)), seed=0), vocab,
                     tmp_path / "m.ckpt")
@@ -107,9 +117,10 @@ def test_param_shapes_describe_the_model(overrides):
 
 def reference_adam_step(p, state, cfg):
     """Bias-corrected Adam on one parameter with its own moments and step
-    count, in the operation order of hcms.train.adam_step."""
+    count, in the operation order of hcms.train.adam_step, over its dense
+    gradient (the embedding table's densified)."""
     state["step"] += 1
-    g = p.grad
+    g = dense_grad(p)
     state["m"] *= cfg.beta1
     state["m"] += (1.0 - cfg.beta1) * g
     state["v"] *= cfg.beta2
@@ -123,7 +134,7 @@ def reference_adam_step(p, state, cfg):
     g *= cfg.lr
     g /= t
     p.value -= g
-    p.grad.fill(0.0)
+    p.zero_grad()
 
 
 def test_blocked_update_matches_one_pass():
@@ -146,6 +157,79 @@ def test_blocked_update_matches_one_pass():
             assert ours.tobytes() == theirs.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_sparse_update_matches_dense(workers, monkeypatch):
+    # a store whose leading [40, 7] table has a row-sparse gradient: 7 does
+    # not divide the block, so the table runs in 5 blocks of 9 rows (the last
+    # 4 rows, and 36 scalars of the tail), and the tail's other 64 in one
+    # more. Each step adds three pairs, which share rows, among them the
+    # table's first and last, so their order shows in the bits; the reference
+    # is the same steps over the densified gradient.
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "_BLOCK", 64)
+    rng = np.random.default_rng(5)
+    rows, dim, tail = 40, 7, 100
+    cfg = OptimizerConfig(lr=0.05)
+    store = Parameter(rng.normal(size=rows * dim + tail), np.zeros(tail))
+    table = Parameter(store.value[:rows * dim].reshape(rows, dim), [])
+    ref = Parameter(store.value.copy())
+    state = AdamState(store)
+    ref_state = {"m": np.zeros(store.shape), "v": np.zeros(store.shape), "step": 0}
+    with T.threads(workers):
+        for _ in range(4):
+            for _ in range(3):
+                ids = np.unique([0, rows - 1, *rng.choice(rows, size=12)])
+                table.grad.append((ids, rng.normal(scale=rng.uniform(1e-3, 10),
+                                                   size=(len(ids), dim))))
+            store.grad[:] = rng.normal(size=tail)
+            ref.grad[:rows * dim] = dense_grad(table).reshape(-1)
+            ref.grad[rows * dim:] = store.grad
+            adam_step(store, state, cfg, table)
+            reference_adam_step(ref, ref_state, cfg)
+            assert table.grad == [] and not store.grad.any()
+            assert state.step == ref_state["step"]
+            for ours, theirs in ((store.value, ref.value), (state.m, ref_state["m"]),
+                                 (state.v, ref_state["v"])):
+                assert ours.tobytes() == theirs.tobytes()
+
+
+def test_nan_in_the_rows_sums_names_its_step(rng, monkeypatch):
+    # the check covers the table's rows as well as the dense tail, and runs
+    # before the step's update
+    m = HCMSModel(tiny_config(), seed=0)
+    backward, calls = m.backward, []
+
+    def poisoned(dlogits):
+        backward(dlogits)
+        calls.append(None)
+        if len(calls) == 2:
+            m.embedding.table.grad[-1][1][0, 0] = np.nan
+
+    monkeypatch.setattr(m, "backward", poisoned)
+    with pytest.raises(DivergenceError,
+                       match="epoch 1, step 2: gradient has 1 NaN or inf values"):
+        train(m, tiny_data(rng), [], TrainConfig(epochs=1, batch_size=4), OptimizerConfig())
+
+
+def test_training_holds_no_dense_table_gradient(rng):
+    # a 100k x 8 table (6.4 MB): the model and a training run hold its value
+    # and Adam's two moments, and no [vocab, dim] gradient beside them
+    config = tiny_config(vocab_size=100_000, embed_dim=8)
+    shapes = config.param_shapes()
+    table = 8 * math.prod(shapes["embedding.table"])
+    tracemalloc.start()
+    try:
+        model = HCMSModel(config, seed=0)
+        train(model, tiny_data(rng, 16), [], TrainConfig(epochs=2, batch_size=4),
+              OptimizerConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.store.grad.size == sum(math.prod(shape) for name, shape in shapes.items()
+                                        if name != "embedding.table")
+    assert peak < 4 * table
+
+
 def reference_train(model, train_data, val_data, tcfg, ocfg):
     """hcms.train.train with every step taken one named parameter at a time:
     zero-grad, the Adam update, the best-F1 snapshot and its restore."""
@@ -157,7 +241,7 @@ def reference_train(model, train_data, val_data, tcfg, ocfg):
     best_f1, best_snapshot, log = -1.0, None, []
     order = np.arange(len(train_data))
     for p in params.values():
-        p.grad.fill(0.0)
+        p.zero_grad()
     for epoch in range(1, tcfg.epochs + 1):
         if tcfg.shuffle:
             rng.shuffle(order)
