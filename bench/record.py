@@ -24,8 +24,10 @@ median of the paired ratios change / base, and the pairs the change won by
 the metric's direction. Then, in SUITE_PAIRS alternating pairs (base first
 when i is even; an even count, so each side runs first in half the pairs,
 and settings.suite_pairs records it), each side times the whole test suite
-(`python -m pytest -q`) and the tiny-regime test alone; every run's seconds
-and exit code are kept beside the same summary. These timings are for information: the
+(`python -m pytest -q`), the tiny-regime test alone, and one seed of that
+test in one process (ABLATION_SEED: the best of ABLATION_REPEATS in-process
+timings, without pytest's start-up or the other nine seeds); every run's
+seconds and exit code are kept beside the same summary. These timings are for information: the
 benchmark gates on none of them. The record is printed and written to the
 next free BENCH_<n>.json at the repository's root.
 """
@@ -45,11 +47,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 CODE = ("src", "perfbench", "bench")  # the code the runs execute, and this recorder
-# pytest runs timed on each side: the tier-1 suite, and its slowest test, which
-# trains 20 tiny models one example at a time (Python overhead, not BLAS)
+# test_ablation_direction's seed 0 (both models trained and scored) timed in
+# one process, best of ABLATION_REPEATS: it swings less than the whole test.
+# It reads only the API that every recorded commit has, so the config is
+# the test's, written out again.
+ABLATION_REPEATS = 3
+ABLATION_SEED = f"""
+import sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = ["src", "tests"]
+from hcms.cli import train_and_test_f1
+from hcms.corpus import serialize_conll
+from synthetic import make_long_range_corpus
+cfg = {{"seed": 0, "epochs": 100, "batch_size": 8, "lr": 0.01, "beta1": 0.9,
+       "beta2": 0.99, "epsilon": 1e-7, "shuffle": True, "embed_dim": 8, "filters": 8,
+       "kernel": 3, "stride": 1, "pool": 2, "pool_stride": 1, "attn_hidden": 8,
+       "max_len": 6, "include_self": False, "score_sigmoid": True,
+       "global_pool": False, "n_classes": 3, "lang_features": False,
+       "append_lang_onehot": False, "lowercase": True, "expand_contractions": True,
+       "replace_emoji": True, "collapse_repeats": True, "strip_hashtags": True,
+       "strip_usernames": True, "strip_links": True, "hashtag_keep_word": True}}
+with tempfile.TemporaryDirectory() as tmp:
+    paths = {{}}
+    for name, n, seed in (("train", 128, 0), ("val", 32, 1000), ("test", 48, 2000)):
+        paths[name] = Path(tmp) / f"{{name}}.conll"
+        paths[name].write_text(serialize_conll(make_long_range_corpus(n, seed=seed)),
+                               encoding="utf-8")
+    times = []
+    for _ in range({ABLATION_REPEATS}):
+        t0 = time.perf_counter()
+        for attn in (True, False):
+            train_and_test_f1(dict(cfg, attention_enabled=attn), *map(str, paths.values()))
+        times.append(time.perf_counter() - t0)
+print(f"seconds {{min(times)}}")
+"""
+# python runs timed on each side: the tier-1 suite, its slowest test, which
+# trains 20 tiny models one example at a time (Python overhead, not BLAS),
+# and one seed of that test
 SUITES = {"tier1": ["-m", "pytest", "-q"],
           "ablation_direction": ["-m", "pytest", "-q",
-                                 "tests/test_acceptance.py::test_ablation_direction"]}
+                                 "tests/test_acceptance.py::test_ablation_direction"],
+          "ablation_seed": ["-c", ABLATION_SEED]}
 SUITE_PAIRS = 6  # alternating pairs of suite timings per side: even, as --traced
 
 NOTES = [
@@ -119,6 +157,19 @@ NOTES = [
     "train.adam_ms_per_step does, and train.self_ms holds a smaller gradient "
     "check; do not compare them across that change. train.adam_scalars still "
     "counts the whole store.",
+    "Each layer's forward is one fan-out by examples since the conv block's "
+    "ReLU, length mask and max-pool run in tensor.conv1d's slices and the "
+    "attention's sigmoid, self mask, softmax and Q @ C in its pair-score "
+    "slices: on both workloads (training steps and validation passes too) "
+    "tensor.conv1d_ms and tensor.conv1d_gflop_per_s now hold the ReLU and "
+    "pooling, and hcms.tensor.relu, maxpool1d, sigmoid and softmax spans no "
+    "longer appear under the layers' forwards (tensor.self_ms moves with "
+    "them). predict and eval parse, clean and encode through one generator, "
+    "hcms.corpus.encode_records, whose span is empty, so on predict-default "
+    "corpus.clean_ms and corpus.encode_ms read 0 and that work counts in "
+    "cli.self_ms. Do not compare tensor.conv1d_ms, tensor.conv1d_gflop_per_s, "
+    "tensor.self_ms, corpus.clean_ms, corpus.encode_ms, corpus.self_ms or "
+    "cli.self_ms across that change.",
 ]
 
 
@@ -150,11 +201,16 @@ def run_perfbench(tree, workload, seed, traced):
 
 
 def time_suite(tree, args):
-    """{"seconds", "exit"} of one `python <args>` run in tree."""
+    """{"seconds", "exit"} of one `python <args>` run in tree: the seconds the
+    run prints as its last line ("seconds <s>", an in-process timing), or else
+    its wall time."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=tree, capture_output=True,
-                          timeout=3600)
-    return {"seconds": time.perf_counter() - t0, "exit": proc.returncode}
+                          text=True, timeout=3600)
+    seconds = time.perf_counter() - t0
+    if (last := proc.stdout.strip().rpartition("\n")[2]).startswith("seconds "):
+        seconds = float(last.split()[1])
+    return {"seconds": seconds, "exit": proc.returncode}
 
 
 # ---------------------------------------------------------------------------

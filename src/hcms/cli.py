@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import tensor as T
 from .corpus import (CleaningConfig, ConllParseError, LABELS, Vocabulary, build_vocab,
-                     clean_corpus, corpus_stats, encode_corpus, format_stats,
-                     format_stats_kv, iter_conll_file, read_conll_file, serialize_conll)
+                     clean_corpus, corpus_stats, encode_corpus, encode_records,
+                     format_stats, format_stats_kv, iter_conll_file, read_conll_file,
+                     serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, DataError, DivergenceError, OptimizerConfig,
@@ -201,12 +202,22 @@ def _load_for_inference(checkpoint):
     return model, vocab, cleaning
 
 
-def _score_file(inference, path, cfg):
-    """metrics.score of (model, vocab, cleaning)'s labels for a corpus file."""
+def _encoded(path, inference):
+    """encode_records' (id, example) of a corpus file's raw records, under
+    inference's (model, vocab, cleaning), read as they are taken."""
     model, vocab, cleaning = inference
-    data = prepare(model, encode_corpus(_cleaned(path, cleaning), vocab,
-                                        model.config.lang_features))
-    return score(*evaluate(model, data, cfg["batch_size"]), model.config.n_classes)
+    return encode_records(iter_conll_file(_corpus_path(path), []), cleaning, vocab,
+                          model.config.lang_features)
+
+
+def _score_file(inference, path, cfg):
+    """metrics.score of (model, vocab, cleaning)'s labels for a corpus file's
+    labeled records that clean to a token; DataError if none."""
+    model = inference[0]
+    if not (data := [ex for _, ex in _encoded(path, inference) if ex[2] is not None]):
+        raise DataError(f"no labeled record in {path}")
+    return score(*evaluate(model, prepare(model, data), cfg["batch_size"]),
+                 model.config.n_classes)
 
 
 @_command
@@ -228,23 +239,21 @@ PREDICT_WINDOW = 1024
 @_command
 def cmd_predict(args, cfg, out):
     """Label each record of --input, in order, into predictions.tsv. The file
-    is parsed, cleaned (one memo for the whole file), encoded, prepared and
+    is parsed, cleaned and encoded (one memo for the whole file), prepared and
     predicted PREDICT_WINDOW records at a time, each window's lines written
     to a temporary file that becomes predictions.tsv at the end; a run that
-    fails leaves neither. Every window's predict shares one thread pool."""
-    model, vocab, cleaning = _load_for_inference(args.checkpoint)
-    named, records = itertools.tee(iter_conll_file(_corpus_path(args.input), []))
-    # a record that cleans to nothing (None) still has its raw record's name
-    labeled = zip((rec.id for rec in named), clean_corpus(records, cleaning))
+    fails leaves neither. Every window's predict shares one thread pool. A
+    record that cleans to nothing keeps its line, labelled from [UNK]."""
+    inference = _load_for_inference(args.checkpoint)
+    model, encoded = inference[0], _encoded(args.input, inference)
     part = out / "predictions.tsv.part"
     try:
         with T.threads(cpus()), open(part, "w", encoding="utf-8") as fh:
-            while window := list(itertools.islice(labeled, PREDICT_WINDOW)):
-                names, cleaned = zip(*window)
-                data = encode_corpus(cleaned, vocab, model.config.lang_features)
+            while window := list(itertools.islice(encoded, PREDICT_WINDOW)):
+                names, data = zip(*window)
                 preds = predict(model, prepare(model, data), cfg["batch_size"])
                 fh.write("".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds)))
-                del window, names, cleaned, data, preds  # freed before the next window is read
+                del window, names, data, preds  # freed before the next window is read
         part.replace(out / "predictions.tsv")
     finally:
         part.unlink(missing_ok=True)  # left only by a run that failed

@@ -361,6 +361,43 @@ def encode_corpus(records, vocab, lang_features):
             for rec in records]
 
 
+class _TokenIds(dict):
+    """raw token -> the vocabulary ids of its cleaned pieces, a tuple: each
+    distinct token is cleaned (_clean_token, looked up at the call) and its
+    pieces looked up once, when it is first read."""
+
+    def __init__(self, cfg, vocab):
+        super().__init__()
+        self.cfg, self.vocab = cfg, vocab
+
+    def __missing__(self, tok):
+        ids = self[tok] = tuple(map(self.vocab.lookup, _clean_token(tok, self.cfg)))
+        return ids
+
+
+def encode_records(records, cfg: CleaningConfig, vocab, lang_features):
+    """Yield (record.id, example) for every raw record, in order: example is
+    encode_corpus's (ids, lang, label) of clean(record, cfg), ([UNK], None,
+    None) where no token survives. One memo per call maps each distinct raw
+    token to its ids, so a token costs one dict lookup; the unmemoized clean
+    and encode are its reference."""
+    token_ids = _TokenIds(cfg, vocab)
+    for rec in records:
+        pieces = list(map(token_ids.__getitem__, rec.tokens))
+        ids = list(chain.from_iterable(pieces))
+        if not ids:
+            yield rec.id, ([UNK], None, None)
+            continue
+        lang = None
+        if lang_features:
+            lang = []
+            for tag, got in zip(rec.lang_tags, pieces):
+                if got:  # the tag once per piece, as clean repeats it
+                    lang += [_known(_lang_position(tag), tag, "language tag")] * len(got)
+        yield rec.id, (ids, lang, None if rec.label is None
+                       else _known(_label_position(rec.label), rec.label, "sentiment label"))
+
+
 # ---------------------------------------------------------------------------
 # corpus statistics
 

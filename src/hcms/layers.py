@@ -223,16 +223,31 @@ class ConvBlock:
         tensor.conv1d's (rows, inv, row_ids) of X's rows (HCMSModel.classify
         gets it), and X is read for its shape alone. taps, if given, is the
         tap table of the rows inv names, built over a wider scope than the
-        batch (train.predict), and the layout's rows are not read."""
-        Z = T.conv1d(X, self.filters.value, self.bias.value, self.stride, layout, taps)
-        R = T.relu(Z, out=Z)  # in place, as is the mask: one [B, u', f] array
+        batch (train.predict), and the layout's rows are not read.
+
+        One fan-out: each of conv1d's example slices rectifies and masks its
+        rows of the conv output R in place and max-pools them into its rows
+        of C, which this thread allocates."""
+        v = T._windows(X.shape[-2], self.kernel, self.stride, "conv1d")
+        ends = None
         if self.global_pool:
-            pool, stride = R.shape[-2], 1
+            pool, stride = v, 1
             if lengths is not None:
-                R[np.arange(pool) >= self._conv_len(np.asarray(lengths))[:, None]] = -np.inf
+                ends = self._conv_len(np.asarray(lengths))[:, None]
         else:
             pool, stride = self.pool, self.pool_stride
-        C = T.maxpool1d(R, pool, stride)
+        vp = T._windows(v, pool, stride, "maxpool1d")
+        C = np.empty(X.shape[:-2] + (vp, self.filters.shape[0]))
+        Cb = C.reshape(-1, *C.shape[-2:])  # one example a row, a B-less X too
+
+        def finish(at, R):
+            T._relu(R, out=R)
+            if ends is not None:
+                R[np.arange(v) >= ends[at]] = -np.inf
+            T._maxpool1d(R, pool, stride, Cb[at])
+
+        R = T.conv1d(X, self.filters.value, self.bias.value, self.stride, layout, taps,
+                     finish)
         self._cache = (X, R, C, pool, stride, layout) if keep else None
         return C
 
@@ -264,19 +279,23 @@ class SelfAttentionLayer:
         self.score_sigmoid = score_sigmoid
 
     def _scores(self, C, keep):
-        """(H, E) of context vectors C [B, v, dim]: H = tanh(c_t W_t + c_t' W_c
-        + b_t) for every pair, [B, v, v, hidden], and the raw scores E = H W_a
-        + b_a, [B, v, v], computed example by example on tensor.map_rows's
-        threads. H is the model's largest array. With keep it is built whole,
-        in place, for forward to cache and backward to reuse its buffer for the
-        gradient; without keep H is None, and each thread fills its examples
-        block by block in a scratch of _SCRATCH bytes, with the same bits."""
+        """(A, H, S, Q) of context vectors C [B, v, dim], computed example by
+        example on tensor.map_rows's threads: H = tanh(c_t W_t + c_t' W_c +
+        b_t) for every pair, [B, v, v, hidden], the scores S = sigmoid(H W_a
+        + b_a) (the raw scores under score_sigmoid off), [B, v, v], the
+        weights Q, their softmax over the attended set, and A = Q @ C, each
+        thread finishing its slice of examples with one call of each op. H is
+        the model's largest array. With keep it is built whole, in place, for
+        forward to cache and backward to reuse its buffer for the gradient;
+        without keep H is None, and each thread fills its examples block by
+        block in a scratch of _SCRATCH bytes, with the same bits. A, S, Q and
+        a kept H are allocated by this thread."""
         v, dim = C.shape[-2:]
         hidden = self.b_t.shape[0]
-        E = np.empty(C.shape[:-1] + (v,))
-        H = np.empty(E.shape + (hidden,)) if keep else None
+        A, S, Q = np.empty(C.shape), np.empty(C.shape[:-1] + (v,)), np.empty(C.shape[:-1] + (v,))
+        H = np.empty(S.shape + (hidden,)) if keep else None
         # one example a row, a B-less [v, dim] input too
-        Cb, Eb = C.reshape(-1, v, dim), E.reshape(-1, v, v)
+        Cb, Ab, Sb, Qb = (x.reshape(-1, v, x.shape[-1]) for x in (C, A, S, Q))
         block = max(1, _SCRATCH // (v * v * hidden * 8))
 
         def fill(at):
@@ -291,10 +310,18 @@ class SelfAttentionLayer:
                 np.add(Tq[:, :, None, :], Kc[:, None, :, :], out=h)
                 h += self.b_t.value
                 np.tanh(h, out=h)
-                np.add(h @ self.W_a.value[:, 0], self.b_a.value[0], out=Eb[rows])
+                np.add(h @ self.W_a.value[:, 0], self.b_a.value[0], out=Sb[rows])
+            s, q = Sb[at], Qb[at]
+            if self.score_sigmoid:
+                T._sigmoid(s, s)
+            np.copyto(q, s)  # sigmoid_backward reads S itself
+            if not self.include_self:
+                q[:, range(v), range(v)] = -np.inf
+            T._softmax(q, q)  # rows sum to 1 over the attended set
+            np.matmul(q, Cb[at], out=Ab[at])
 
-        T.map_rows(len(Cb), fill, E.size * hidden)
-        return H, E
+        T.map_rows(len(Cb), fill, S.size * hidden)
+        return A, H, S, Q
 
     def forward(self, C, keep=True):
         v = C.shape[-2]
@@ -302,13 +329,7 @@ class SelfAttentionLayer:
         if v < min_v:
             raise AttentionDomainError(
                 f"need at least {min_v} context vectors, got {v}")
-        H, E = self._scores(C, keep)
-        S = T.sigmoid(E) if self.score_sigmoid else E
-        logits = S.copy()                # sigmoid_backward reads S itself
-        if not self.include_self:
-            logits[..., range(v), range(v)] = -np.inf
-        Q = T.softmax(logits)            # rows sum to 1 over the attended set
-        A = Q @ C                        # [B, v, dim]
+        A, H, S, Q = self._scores(C, keep)
         self._cache = (C, H, S, Q) if keep else None
         return A.reshape(A.shape[:-2] + (-1,))
 

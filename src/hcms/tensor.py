@@ -58,17 +58,21 @@ class Parameter:
 # Row-parallel numpy work. Inside `with threads(w)` (train and predict run
 # all their work in one such block) map_rows splits an op's independent rows
 # into w contiguous slices, one a thread, and numpy releases the GIL inside
-# each: conv1d's tap gathers and the attention's pair scores
-# (SelfAttentionLayer._scores) by example, tap_table and conv1d_backward by
-# tap, and adam_step by block. Each row is computed by the same numpy calls
-# on any thread, so the bits are those of one thread. A call that writes
-# fewer than _MIN_WORK scalars runs on the calling thread: a fan-out costs
-# 0.1 to 0.2 ms, more than a small model's whole op. The pool threads live for
-# the outermost block and call numpy and this module's private helpers
-# alone, never a public function of this package, so a tracer that wraps
-# the package's public functions sees every call on the thread that made
-# the block. The block's pool is a context variable: set on entry and reset
-# on exit, and seen by the thread that entered the block alone.
+# each. By example: conv1d, whose slices also run the conv block's ReLU,
+# length mask and max-pool (ConvBlock.forward), and the attention's pair
+# scores, sigmoid, self mask, softmax and Q @ C (SelfAttentionLayer._scores);
+# by tap: tap_table and conv1d_backward; by block: adam_step. Only the head
+# and the argmax stay on the calling thread, as their GEMM's bits depend on
+# the batch size. Each row is computed by the same numpy calls on any thread,
+# so the bits are those of one thread. A call that writes fewer than
+# _MIN_WORK scalars runs on the calling thread: a fan-out costs 0.1 to 0.2 ms,
+# more than a small model's whole op. The pool threads live for the
+# outermost block and call numpy, closures and this module's private bodies
+# (_relu, _maxpool1d, _sigmoid, _softmax, _group_sum, which the public ops
+# wrap) alone, never a public function of this package, so a tracer that
+# wraps the package's public functions sees every call on the thread that
+# made the block. The block's pool is a context variable: set on entry and
+# reset on exit, and seen by the thread that entered the block alone.
 
 _THREADS = contextvars.ContextVar("threads", default=(None, 1))
 
@@ -176,13 +180,22 @@ def distinct_rows(x):
 # first + (((-0.0 + r2) + r3) + ...); a longer run's rest is a pairwise sum.
 _SHORT_RUN = 8
 
+# Scalars below which group_sum is one np.add.reduceat: the rank-by-rank path
+# costs about ten numpy calls whatever its input's size, and a sweep over 16
+# to 2048 rows of 8 to 200 columns (CHANGES.md) had reduceat ahead below
+# about 2^14 scalars and behind above it. At the default dims one tap's call
+# is 262k scalars (2 to 3 times faster rank by rank); an 8-wide model's are
+# a few hundred.
+_REDUCEAT = 1 << 14
+
 
 def group_sum(keys, values):
     """(distinct keys in sorted order, their sums): values [keys.size, ...]
     has one row per flattened key, and rows sharing a key are summed, with
-    the bits of one np.add.reduceat over the runs of a stable sort. A run of
-    one row is a copy; runs of 2 to _SHORT_RUN rows are summed rank by rank,
-    all at once, in reduceat's order; only longer runs go through reduceat."""
+    the bits of one np.add.reduceat over the runs of a stable sort. Below
+    _REDUCEAT scalars it is that reduceat; above it a run of one row is a
+    copy, runs of 2 to _SHORT_RUN rows are summed rank by rank, all at once,
+    in reduceat's order, and only longer runs go through reduceat."""
     return _group_sum(keys, values)
 
 
@@ -195,6 +208,8 @@ def _group_sum(keys, values):
     is_start[:1] = True
     np.not_equal(run_keys[1:], run_keys[:-1], out=is_start[1:])
     starts = np.flatnonzero(is_start)
+    if values.size < _REDUCEAT:
+        return run_keys[starts], np.add.reduceat(values[order], starts, axis=0)
     sizes = np.diff(starts, append=keys.size)
     sums = values[order[starts]]  # each run's first row: a singleton's sum
     # short runs longest first, so the runs that reach rank r are a prefix
@@ -230,18 +245,26 @@ def tap_table(rows, filters, out=None):
     return out
 
 
-def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
+def _windows(n, window, stride, what):
+    """Windows of window positions, stride apart, over n positions;
+    SequenceTooShortError, naming what, when n < window."""
+    if n < window:
+        raise SequenceTooShortError(f"{what}: sequence length {n} < window {window}")
+    return (n - window) // stride + 1
+
+
+def conv1d(x, filters, bias, stride=1, layout=None, taps=None, finish=None):
     """taps, if given, is the tap_table of the rows the layout's index map
     names, built over a wider scope than x; the layout's rows are then not
-    read."""
+    read. finish, if given, is called as finish(at, out) on each slice at of
+    the examples, on the slice's thread, once out, their rows of the output
+    [len(at), v, f], holds its sums (ConvBlock.forward's ReLU and pooling)."""
     x, filters, bias = as_tensor(x), as_tensor(filters), as_tensor(bias)
     u, d = x.shape[-2:]
     f, k, fd = filters.shape
     if fd != d:
         raise ShapeError(f"conv1d: input depth {d} != filter depth {fd}")
-    if u < k:
-        raise SequenceTooShortError(f"conv1d: sequence length {u} < kernel {k}")
-    v = (u - k) // stride + 1
+    v = _windows(u, k, stride, "conv1d")
     rows, inv, _ = layout or distinct_rows(x)
     if taps is None:
         taps = tap_table(rows, filters)
@@ -256,6 +279,8 @@ def conv1d(x, filters, bias, stride=1, layout=None, taps=None):
                    out=part)
             for j in range(1, k):
                 part += taps[j].take(inv[at, _strided(m, stride, p * stride + j)], axis=0)
+        if finish is not None:
+            finish(at, out[at])
 
     map_rows(len(inv), add_taps, out.size)
     return out.reshape(x.shape[:-2] + (v, f))
@@ -295,11 +320,16 @@ def conv1d_backward(dout, x, filters, stride, layout):
 
 
 # ---------------------------------------------------------------------------
-# relu
+# relu, maxpool1d, softmax and sigmoid: each public op wraps a private body,
+# which the pool threads call (see threads), so both give the same bits.
 
-def relu(x, out=None):
-    """max(0, x); out=x rectifies a fresh array in place."""
-    return np.maximum(0.0, as_tensor(x), out=out)
+def relu(x):
+    """max(0, x)."""
+    return _relu(as_tensor(x))
+
+
+def _relu(x, out=None):
+    return np.maximum(0.0, x, out=out)
 
 
 def relu_backward(dout, x):
@@ -312,11 +342,14 @@ def relu_backward(dout, x):
 
 def maxpool1d(x, pool, stride):
     x = as_tensor(x)
-    v = x.shape[-2]
-    if v < pool:
-        raise SequenceTooShortError(f"maxpool1d: length {v} < pool {pool}")
-    vp = (v - pool) // stride + 1
-    out = x[..., _strided(vp, stride), :].copy()
+    vp = _windows(x.shape[-2], pool, stride, "maxpool1d")
+    return _maxpool1d(x, pool, stride, np.empty(x.shape[:-2] + (vp, x.shape[-1])))
+
+
+def _maxpool1d(x, pool, stride, out):
+    """maxpool1d of x into out [..., v', f]."""
+    vp = out.shape[-2]
+    np.copyto(out, x[..., _strided(vp, stride), :])
     for j in range(1, pool):  # offset j of every window, one strided slice
         np.maximum(out, x[..., _strided(vp, stride, j), :], out=out)
     return out
@@ -344,9 +377,15 @@ def maxpool1d_backward(dout, x, pool, stride, out):
 
 def softmax(x):
     x = as_tensor(x)
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(x, np.empty_like(x))
+
+
+def _softmax(x, out):
+    """softmax of x into out, which may be x."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax_backward(dout, probs):
@@ -361,7 +400,12 @@ def softmax_backward(dout, probs):
 
 def sigmoid(x):
     x = as_tensor(x)
-    out = np.empty_like(x)
+    return _sigmoid(x, np.empty_like(x))
+
+
+def _sigmoid(x, out):
+    """sigmoid of x into out, which may be x: each side of 0 by the form
+    whose exp cannot overflow."""
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

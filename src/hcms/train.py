@@ -157,9 +157,14 @@ def adam_step(param: Parameter, state: AdamState, cfg: OptimizerConfig, table=No
     rows, width = (table.grad, table.shape[1]) if table is not None else ([], 1)
     block_rows = max(1, _BLOCK // width)
     per_block = width * block_rows
-    # each pair cut at every block's first row, its ids as rows of their block
-    edges = np.arange(0, head // width + block_rows, block_rows)
-    pairs = [(ids.searchsorted(edges), ids % block_rows, sums) for ids, sums in rows]
+    # each pair cut at every block's first row (Python ints), its ids as rows
+    # of their block; a table of one block is not cut
+    if head <= per_block:
+        pairs = [([0, len(ids)], ids, sums) for ids, sums in rows]
+    else:
+        edges = np.arange(0, head // width + block_rows, block_rows)
+        pairs = [(ids.searchsorted(edges).tolist(), ids % block_rows, sums)
+                 for ids, sums in rows]
 
     def update(blocks):
         # t and the block's gradient g, zero as each block leaves them
@@ -206,7 +211,9 @@ def check_gradient(grad, rows, where):
     pair's sums (tensor.Parameter). The message tells a NaN or inf element
     from finite elements whose norm overflows."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        norm = grad @ grad + sum(np.vdot(sums, sums) for _, sums in rows)
+        norm = grad @ grad
+        for _, sums in rows:
+            norm += np.vdot(sums, sums)
     if not np.isfinite(norm):
         if bad := sum(np.count_nonzero(~np.isfinite(a))
                       for a in (grad, *(sums for _, sums in rows))):
@@ -291,10 +298,11 @@ def predict(model, corpus, batch_size):
     and build no [B, v, v, hidden] tensor), with one conv tap table per
     chunk of batches whose distinct rows fit in batch_size * L (L the widest
     batch's _width), the most one batch's table holds, all in one buffer. Each
-    batch's conv tap gathers and attention pair scores are split by examples
-    across one thread per cpus() (tensor.threads), threads that live for this
-    call alone, or for an enclosing block (train's, the predict command's);
-    at most batch_size examples are in flight across them, and labels and
+    batch's conv block and attention forward are split by examples, one
+    fan-out a layer, across one thread per cpus() (tensor.threads), threads
+    that live for this call alone, or for an enclosing block (train's, the
+    predict command's); the head and the argmax run on this thread. At most
+    batch_size examples are in flight across them, and labels and
     probabilities do not depend on the CPU count."""
     cap = batch_size * _width(model, corpus.lengths)
     f, k, _ = model.conv.filters.shape

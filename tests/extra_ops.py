@@ -21,6 +21,8 @@ model's keying and gather as they were when the corpus carried language
 one-hot rows and named each conv row by its first flat position: one
 np.unique over the rows, and a gather at those positions; it is the oracle
 of HCMSModel.key's fixed tag codes and of conv_rows' decoding of them.
+composed_classify is the model's forward as separate whole-batch ops, the
+oracle of the one fan-out per layer that runs them by example slices.
 make_layer builds one model layer on its own, its parameters drawn by the
 model's init table. dense_grad is a parameter's gradient as one array: the
 embedding table's row-sparse gradient densified, the oracle of the dense
@@ -194,6 +196,42 @@ def predict(model, ids, lang=None, lengths=None):
     anything, as in train.predict): [B] for a batch, one int for one id
     sequence."""
     return model._labels(forward(model, ids, lang, lengths, keep=False))
+
+
+def composed_classify(model, layout, lengths=None):
+    """{"R", "C", "H", "S", "Q", "A", "probs"} of HCMSModel.classify's
+    forward on a batch's layout, composed of whole-batch ops as it was before
+    each example slice ran its layer's rows in one fan-out: conv1d, relu, the
+    global_pool length mask and maxpool1d; the pair scores H and their raw
+    scores, sigmoid, the self mask, softmax and Q @ C; then the head. Without
+    attention, H, S, Q and A are absent."""
+    cfg, conv, out = model.config, model.conv, {}
+    X = np.broadcast_to(0.0, layout[1].shape + conv.filters.shape[2:])
+    R = out["R"] = relu(tensor.conv1d(X, conv.filters.value, conv.bias.value, cfg.stride,
+                                      layout))
+    pool, stride = cfg.pool, cfg.pool_stride
+    if cfg.global_pool:
+        pool, stride = R.shape[-2], 1
+        if lengths is not None:
+            R[np.arange(pool) >= conv._conv_len(np.asarray(lengths))[:, None]] = -np.inf
+    C = out["C"] = maxpool1d(R, pool, stride)
+    G = C.reshape(len(C), -1)
+    if model.attention is not None:
+        att, v = model.attention, C.shape[-2]
+        H = (C @ att.W_t.value)[:, :, None, :] + (C @ att.W_c.value)[:, None, :, :]
+        H += att.b_t.value
+        np.tanh(H, out=H)
+        E = H @ att.W_a.value[:, 0] + att.b_a.value[0]
+        S = sigmoid(E) if cfg.score_sigmoid else E
+        logits = S.copy()
+        if not cfg.include_self:
+            logits[..., range(v), range(v)] = -np.inf
+        Q = softmax(logits)
+        A = Q @ C
+        out.update(H=H, S=S, Q=Q, A=A)
+        G = A.reshape(len(A), -1)
+    out["probs"] = model.head.forward(G, keep=False)
+    return out
 
 
 # ---------------------------------------------------------------------------

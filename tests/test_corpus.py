@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hcms.corpus import (LANG_TAGS, CleaningConfig, ConllParseError, RecordError,
+from hcms.corpus import (LANG_TAGS, UNK, CleaningConfig, ConllParseError, RecordError,
                          TweetRecord, Vocabulary, build_vocab, clean, clean_corpus,
-                         corpus_stats, encode, encode_corpus, parse_conll,
-                         read_conll_file, serialize_conll)
+                         corpus_stats, encode, encode_corpus, encode_records,
+                         parse_conll, read_conll_file, serialize_conll)
 from synthetic import load_mini_corpus
 
 
@@ -249,6 +249,36 @@ def test_encode_reads_tags_and_labels_as_parse_does():
         encode(rec(["a"], tags=["XYZ"]), v, True)
     with pytest.raises(RecordError, match="XYZ"):
         encode_corpus([rec(["a"], label="XYZ")], v, False)
+
+
+@pytest.mark.parametrize("lang_features", [False, True])
+@pytest.mark.parametrize("flags", [CleaningConfig(), CleaningConfig(replace_emoji=False),
+                                   CleaningConfig(expand_contractions=False,
+                                                  hashtag_keep_word=False)],
+                         ids=["default", "no_emoji", "no_contractions_no_hashtag_word"])
+def test_encode_records_matches_clean_then_encode(lang_features, flags):
+    # the memo's (ids, lang, label) of each raw record against the unmemoized
+    # clean and encode: emoji and contractions (several pieces, each under its
+    # token's tag), repeats, hashtags, tokens that strip to nothing, a record
+    # that cleans to nothing ([UNK], None, None, under its own id), an
+    # unlabeled one, and tokens that recur across records
+    hand = [rec(["😂", "can't", "sooooo", "#tagggg", "#", "@user", "won't"],
+                tags=["EMT", "ENG", "HIN", "O", "O", "O", "ENG"], id="a"),
+            rec(["@user", "http://x.co", "#"], tags=["O"] * 3, id="empty"),
+            rec(["won't", "😂", "yaar", "Sooooo"], tags=["ENG", "EMT", "HIN", "ENG"],
+                label=None, id="b"),
+            rec(["Hello", "#Hello", "can't"], tags=["Eng", "o", "ENG"], label="Negative",
+                id="c")]
+    records = hand + _random_records(300, seed=7)
+    cleaned = [clean(r, flags) for r in records]
+    # a vocabulary of part of the cleaned tokens, so that some pieces are UNK
+    vocab = build_vocab([r for r in cleaned[::2] if r is not None])
+    got = list(encode_records(records, flags, vocab, lang_features))
+    want = [(r.id, ex) for r, ex in zip(records, encode_corpus(cleaned, vocab, lang_features))]
+    assert got == want
+    assert got[1] == ("empty", ([UNK], None, None))
+    if lang_features and flags.expand_contractions:  # "won't": will, not
+        assert got[0][1][1][-2:] == [LANG_TAGS.index("ENG")] * 2
 
 
 def test_vocab_roundtrip_through_token_list():

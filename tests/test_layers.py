@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from hcms import layers as layers_module
 from hcms import tensor as T
 from hcms.layers import (AttentionDomainError, ConvBlock, DenseHead,
                          EmbeddingLayer, HCMSModel, ModelConfig, NoForwardError,
                          SelfAttentionLayer, VocabularyError)
 from hcms.train import cross_entropy, cross_entropy_softmax_grad
 from conftest import assert_close, central_diff
-from extra_ops import (conv_forward, dense_grad, fit_batch, forward, lang_onehot,
-                       make_layer, predict, unique_rows)
+from extra_ops import (composed_classify, conv_forward, dense_grad, fit_batch, forward,
+                       lang_onehot, make_layer, predict, unique_rows)
 
 
 def attention_oracle(C, layer):
@@ -408,6 +409,59 @@ def test_batched_loss_gradcheck(rng):
         if name == "embedding.table":
             numeric[0] = 0.0  # PAD row is frozen by design
         assert_close(dense_grad(par), numeric, rtol=1e-3)
+
+
+FANOUT_CONFIGS = {
+    "windowed": {},
+    "stride_2": dict(stride=2),
+    "pool_3_stride_1": dict(pool=3, pool_stride=1),
+    "global_pool_ragged": dict(global_pool=True, include_self=True),
+    "include_self": dict(include_self=True),
+    "score_sigmoid_off": dict(score_sigmoid=False),
+    "lang_features": dict(lang_features=True),
+    "attention_off": dict(attention_enabled=False),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("keep", [False, True], ids=["inference", "keep"])
+@pytest.mark.parametrize("overrides", FANOUT_CONFIGS.values(), ids=FANOUT_CONFIGS)
+def test_fanout_forward_matches_composed_ops(rng, overrides, keep, workers, monkeypatch):
+    # one fan-out a layer (the conv block's ReLU, mask and pooling, and the
+    # attention's scores, softmax and Q @ C, by example slices of 2 and 3 rows,
+    # in scratch blocks of 2 examples without keep) against the same forward
+    # as whole-batch ops: C, A and the probabilities byte for byte, and with
+    # keep the cached R, H, S and Q too
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    m = HCMSModel(tiny_config(vocab_size=40, kernel=3, max_len=10, **overrides), seed=3)
+    m.conv.bias.value[:] = rng.normal(scale=0.1, size=3)  # windows on both sides of 0
+    cfg = m.config
+    v = cfg.out_len(max(cfg.max_len, cfg.kernel))
+    monkeypatch.setattr(layers_module, "_SCRATCH", 2 * v * v * cfg.attn_hidden * 8)
+    examples = [(list(rng.integers(2, 40, size=n)),
+                 rng.integers(4, size=n) if cfg.lang_features else None)
+                for n in (1, 12, 6, 9, 3)]
+    ids, lang, lengths = fit_batch(m, examples)
+    keys, inv = m.key(ids, lang)
+    rows, row_ids = m.conv_rows(keys)
+    layout = (rows, inv, row_ids)
+    want = composed_classify(m, layout, lengths)
+    got = {}
+    for layer, name in ((m.conv, "C"), (m.attention, "A")):
+        if layer is not None:
+            monkeypatch.setattr(layer, "forward", lambda *a, f=layer.forward, name=name, **k:
+                                got.setdefault(name, f(*a, **k)))
+    with T.threads(workers):
+        got["probs"] = m.classify(layout, lengths, keep=keep)
+    if m.attention is not None:
+        got["A"] = got["A"].reshape(want["A"].shape)
+        if keep:
+            got.update(zip("HSQ", m.attention._cache[1:]))
+    if keep:
+        got["R"] = m.conv._cache[1]
+    assert sorted(got) == sorted(k for k in want if keep or k not in "RHSQ")
+    for name, array in got.items():
+        assert array.tobytes() == want[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------

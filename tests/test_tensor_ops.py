@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import extra_ops as T
 from hcms import tensor
+from hcms.layers import ModelConfig
 from conftest import assert_close, central_diff
 
 N_TRIALS = 100
@@ -282,12 +283,14 @@ def test_split_conv_ops_match_one_thread(seed, monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(sizes=st.lists(st.one_of(st.integers(1, 10), st.integers(1, 200)), min_size=1,
                       max_size=12),
-       cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       cols=st.one_of(st.integers(1, 3), st.integers(48, 64)),
+       seed=st.integers(0, 2**32 - 1),
        specials=st.lists(st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan]),
                          max_size=24))
 def test_group_sum_matches_reduceat(sizes, cols, seed, specials):
     # runs of 1 to 200 equal keys in shuffled rows, values over 12 decades
-    # with -0.0, +-inf and NaN sprinkled in
+    # with -0.0, +-inf and NaN sprinkled in; 1 to 153,600 scalars, on both
+    # sides of tensor._REDUCEAT (2^14), where group_sum leaves the one reduceat
     rng = np.random.default_rng(seed)
     keys = np.repeat(rng.permutation(3 * len(sizes))[:len(sizes)], sizes)
     keys = keys[rng.permutation(keys.size)]
@@ -302,6 +305,14 @@ def test_group_sum_matches_reduceat(sizes, cols, seed, specials):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)  # NaN in, NaN out
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_default_dims_group_sums_take_the_rank_by_rank_path():
+    # one conv backward tap at the default dims sums a [B * v, f] gradient:
+    # 32 x 41 x 200 scalars, where the rank-by-rank path is 2 to 3 times
+    # faster than one reduceat
+    cfg = ModelConfig(vocab_size=2)
+    assert 32 * cfg._conv_len(cfg.max_len) * cfg.filters >= tensor._REDUCEAT
 
 
 # ---------------------------------------------------------------------------

@@ -662,6 +662,30 @@ def test_pool_threads_call_no_public_hcms_function(rng, monkeypatch):
     assert called and not public
 
 
+def test_predict_pool_threads_call_no_public_hcms_function(rng, monkeypatch):
+    # predict's twin of the test above: each layer's fan-out runs the ReLU,
+    # pooling, sigmoid and softmax on the pool threads through the private
+    # bodies that the public ops wrap
+    monkeypatch.setattr(T, "_MIN_WORK", 0)
+    monkeypatch.setattr(train_module, "cpus", lambda: 2)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("hcms"):
+            called.add(frame.f_code.co_qualname)
+
+    m = HCMSModel(tiny_config(vocab_size=64, lang_features=True), seed=0)
+    corpus = prepare(m, chunked_input(rng, m))
+    threading.setprofile(profile)  # the threads started from here on: the pool's
+    try:
+        predict(m, corpus, 4)
+    finally:
+        threading.setprofile(None)
+    public = {name for name in called if "<locals>" not in name
+              and not any(part.startswith("_") for part in name.split("."))}
+    assert {"_relu", "_maxpool1d", "_sigmoid", "_softmax"} <= called and not public
+
+
 @pytest.mark.parametrize("bad, match", [(np.nan, "gradient has 1 NaN or inf values"),
                                         (1e200, "gradient norm overflows")])
 def test_train_raises_on_nonfinite_gradient(rng, bad, match, monkeypatch):
