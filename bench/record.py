@@ -170,6 +170,18 @@ NOTES = [
     "cli.self_ms. Do not compare tensor.conv1d_ms, tensor.conv1d_gflop_per_s, "
     "tensor.self_ms, corpus.clean_ms, corpus.encode_ms, corpus.self_ms or "
     "cli.self_ms across that change.",
+    "train reads its files as predict does since its vocabulary is built "
+    "from the memo that encodes it (hcms.corpus.TokenIds.fit): the train and "
+    "validation files are parsed by the generator hcms.corpus.iter_conll_file "
+    "and encoded by the generator hcms.corpus.encode_records, whose spans are "
+    "empty, and build_vocab, clean_corpus and encode_corpus are no longer "
+    "called. So on train-default corpus.parse_ms, corpus.clean_ms, "
+    "corpus.encode_ms and corpus.vocab_ms read 0; the parse, the encoding and "
+    "the validation file's cleaning count in cli.self_ms, and the training "
+    "file's cleaning and the vocabulary's sort in the TokenIds.fit and "
+    "Vocabulary.from_counts spans (corpus.self_ms). Do not compare "
+    "train-default's corpus.parse_ms, corpus.clean_ms, corpus.encode_ms, "
+    "corpus.vocab_ms, corpus.self_ms or cli.self_ms across that change.",
 ]
 
 

@@ -18,14 +18,13 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import tensor as T
-from .corpus import (CleaningConfig, ConllParseError, LABELS, Vocabulary, build_vocab,
-                     clean_corpus, corpus_stats, encode_corpus, encode_records,
-                     format_stats, format_stats_kv, iter_conll_file, read_conll_file,
-                     serialize_conll)
+from .corpus import (CleaningConfig, ConllParseError, LABELS, TokenIds, Vocabulary,
+                     clean_corpus, corpus_stats, encode_records, format_stats,
+                     format_stats_kv, iter_conll_file, serialize_conll)
 from .layers import ConfigError, HCMSModel, ModelConfig
 from .metrics import format_report, format_report_kv, score
 from .train import (CheckpointError, DataError, DivergenceError, OptimizerConfig,
-                    TrainConfig, cpus, evaluate, format_epoch, load_checkpoint, predict,
+                    TrainConfig, cpus, format_epoch, load_checkpoint, predict,
                     prepare, save_checkpoint, train)
 
 EXIT_OK = 0
@@ -121,23 +120,26 @@ def _model_config(cfg, vocab_size):
                                       lang_features=cfg["append_lang_onehot"]))
 
 
-def _corpus_path(path):
+def _records(path, skipped=None, strict=False):
+    """iter_conll_file's records of a corpus file, read as they are taken."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus file not found: {p}")
-    return p
+    return iter_conll_file(p, [] if skipped is None else skipped, strict)
 
 
-def _load_corpus(path, strict=False):
-    return read_conll_file(_corpus_path(path), strict=strict)
-
-
-def _cleaned(path, cleaning):
-    """The cleaned labeled records of a corpus file; DataError if none."""
-    records = [r for r in _load_corpus(path)[0] if r.label is not None]
-    if not (cleaned := [r for r in clean_corpus(records, cleaning) if r is not None]):
+def _labeled(path, token_ids, lang_features, records=None):
+    """encode_records' (id, example) pairs of a corpus file's records (read
+    from path as they are taken, unless given) that are labeled and clean to
+    a token; DataError, once all are taken, if none is."""
+    found = False
+    for pair in encode_records(_records(path) if records is None else records, token_ids,
+                               lang_features):
+        if pair[1][2] is not None:
+            found = True
+            yield pair
+    if not found:
         raise DataError(f"no labeled record in {path}")
-    return cleaned
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +162,8 @@ def _command(body):
 @_command
 def cmd_preprocess(args, cfg, out):
     cleaning = CleaningConfig.from_dict(cfg)
-    records, skipped = _load_corpus(args.input, strict=args.strict)
+    skipped = []
+    records = list(_records(args.input, skipped, args.strict))
     cleaned = [r for r in clean_corpus(records, cleaning) if r is not None]
     (out / "cleaned.conll").write_text(serialize_conll(cleaned), encoding="utf-8")
     report = [f"parsed_records = {len(records)}",
@@ -172,13 +175,16 @@ def cmd_preprocess(args, cfg, out):
 
 def _train_once(cfg, train_path, val_path, out_dir=None):
     cleaning, tcfg, ocfg = _split_configs(cfg)
-    train_recs = _cleaned(train_path, cleaning)
-    val_recs = _cleaned(val_path, cleaning) if val_path else []
-    vocab = build_vocab(train_recs, min_count=1)
+    # the vocabulary counts the labeled records alone
+    train_recs = [r for r in _records(train_path) if r.label is not None]
+    token_ids = TokenIds.fit(train_recs, cleaning)
+    vocab = token_ids.vocab
     mcfg = _model_config(cfg, len(vocab))
+    train_data = [ex for _, ex in _labeled(train_path, token_ids, mcfg.lang_features,
+                                           train_recs)]
+    val_data = [ex for _, ex in _labeled(val_path, TokenIds(cleaning, vocab),
+                                         mcfg.lang_features)] if val_path else []
     mcfg.validate()  # the store's size, now that the vocabulary is known
-    train_data = encode_corpus(train_recs, vocab, mcfg.lang_features)
-    val_data = encode_corpus(val_recs, vocab, mcfg.lang_features)
     model = HCMSModel(mcfg, seed=cfg["seed"])
     log = train(model, train_data, val_data, tcfg, ocfg)
     if out_dir:
@@ -202,31 +208,6 @@ def _load_for_inference(checkpoint):
     return model, vocab, cleaning
 
 
-def _encoded(path, inference):
-    """encode_records' (id, example) of a corpus file's raw records, under
-    inference's (model, vocab, cleaning), read as they are taken."""
-    model, vocab, cleaning = inference
-    return encode_records(iter_conll_file(_corpus_path(path), []), cleaning, vocab,
-                          model.config.lang_features)
-
-
-def _score_file(inference, path, cfg):
-    """metrics.score of (model, vocab, cleaning)'s labels for a corpus file's
-    labeled records that clean to a token; DataError if none."""
-    model = inference[0]
-    if not (data := [ex for _, ex in _encoded(path, inference) if ex[2] is not None]):
-        raise DataError(f"no labeled record in {path}")
-    return score(*evaluate(model, prepare(model, data), cfg["batch_size"]),
-                 model.config.n_classes)
-
-
-@_command
-def cmd_eval(args, cfg, out):
-    report = _score_file(_load_for_inference(args.checkpoint), args.input, cfg)
-    (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
-    (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
-
-
 # Records a predict window holds: the command keeps one window's lists, Corpus
 # and tap table, whatever the input's size. A conv row met in several windows
 # has its taps built in each, so a narrower window holds a smaller table but
@@ -236,24 +217,53 @@ def cmd_eval(args, cfg, out):
 PREDICT_WINDOW = 1024
 
 
+def _windows(model, encoded, batch_size):
+    """Yield (record ids, true labels, predicted labels) of encoded (id,
+    example) pairs, PREDICT_WINDOW pairs at a time, each window prepared and
+    predicted in one thread pool for all."""
+    with T.threads(cpus()):
+        while window := list(itertools.islice(encoded, PREDICT_WINDOW)):
+            names, data = zip(*window)
+            corpus = prepare(model, data)
+            yield names, corpus.labels, predict(model, corpus, batch_size)
+            del window, data, corpus  # freed before the next window is read
+
+
+def _score_file(inference, path, cfg):
+    """metrics.score of (model, vocab, cleaning)'s labels for a corpus file's
+    labeled records that clean to a token (_labeled), a window at a time."""
+    model, vocab, cleaning = inference
+    true, pred = bytearray(), bytearray()  # a byte a label
+    labeled = _labeled(path, TokenIds(cleaning, vocab), model.config.lang_features)
+    for _, t, p in _windows(model, labeled, cfg["batch_size"]):
+        true.extend(t)
+        pred.extend(p)
+    return score(true, pred, model.config.n_classes)
+
+
+@_command
+def cmd_eval(args, cfg, out):
+    report = _score_file(_load_for_inference(args.checkpoint), args.input, cfg)
+    (out / "report.txt").write_text(format_report(report) + "\n", encoding="utf-8")
+    (out / "report.kv").write_text(format_report_kv(report) + "\n", encoding="utf-8")
+
+
 @_command
 def cmd_predict(args, cfg, out):
     """Label each record of --input, in order, into predictions.tsv. The file
     is parsed, cleaned and encoded (one memo for the whole file), prepared and
-    predicted PREDICT_WINDOW records at a time, each window's lines written
-    to a temporary file that becomes predictions.tsv at the end; a run that
-    fails leaves neither. Every window's predict shares one thread pool. A
-    record that cleans to nothing keeps its line, labelled from [UNK]."""
-    inference = _load_for_inference(args.checkpoint)
-    model, encoded = inference[0], _encoded(args.input, inference)
+    predicted a window at a time (_windows), each window's lines written to a
+    temporary file that becomes predictions.tsv at the end; a run that fails
+    leaves neither. A record that cleans to nothing keeps its line, labelled
+    from [UNK]."""
+    model, vocab, cleaning = _load_for_inference(args.checkpoint)
+    encoded = encode_records(_records(args.input), TokenIds(cleaning, vocab),
+                             model.config.lang_features)
     part = out / "predictions.tsv.part"
     try:
-        with T.threads(cpus()), open(part, "w", encoding="utf-8") as fh:
-            while window := list(itertools.islice(encoded, PREDICT_WINDOW)):
-                names, data = zip(*window)
-                preds = predict(model, prepare(model, data), cfg["batch_size"])
+        with open(part, "w", encoding="utf-8") as fh:
+            for names, _, preds in _windows(model, encoded, cfg["batch_size"]):
                 fh.write("".join(f"{name}\t{LABELS[p]}\n" for name, p in zip(names, preds)))
-                del window, names, data, preds  # freed before the next window is read
         part.replace(out / "predictions.tsv")
     finally:
         part.unlink(missing_ok=True)  # left only by a run that failed
@@ -261,8 +271,7 @@ def cmd_predict(args, cfg, out):
 
 @_command
 def cmd_stats(args, cfg, out):
-    records, _ = _load_corpus(args.input)
-    stats = corpus_stats(records)
+    stats = corpus_stats(list(_records(args.input)))
     (out / "stats.txt").write_text(format_stats(stats) + "\n", encoding="utf-8")
     (out / "stats.kv").write_text(format_stats_kv(stats) + "\n", encoding="utf-8")
 

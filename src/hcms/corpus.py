@@ -186,12 +186,6 @@ def iter_conll_file(path, skipped, strict=False):
                                   f"{exc.reason}") from exc
 
 
-def read_conll_file(path, strict=False):
-    """(records, skipped) of a UTF-8 file: iter_conll_file's records as one list."""
-    skipped = []
-    return list(iter_conll_file(path, skipped, strict)), skipped
-
-
 def _bad_byte(fh):
     """Offset of the first byte of binary file fh that is not UTF-8. Lines are
     decoded one at a time: no UTF-8 sequence holds the byte of a newline."""
@@ -321,13 +315,13 @@ class Vocabulary:
         vocab.token_to_index = {t: i for i, t in enumerate(tokens)}
         return vocab
 
-
-def build_vocab(records, min_count=1):
-    counts = Counter(tok for rec in records for tok in rec.tokens)
-    kept = [t for t, c in counts.items() if c >= min_count]
-    # descending frequency, lexicographic tie-break
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
+    @classmethod
+    def from_counts(cls, counts, min_count=1):
+        """The tokens of a {token: count} map counted at least min_count
+        times, by descending count, ties in lexicographic order."""
+        kept = [t for t, c in counts.items() if c >= min_count]
+        kept.sort(key=lambda t: (-counts[t], t))
+        return cls(kept)
 
 
 def _known(position, raw, what):
@@ -337,34 +331,10 @@ def _known(position, raw, what):
     return position
 
 
-def encode(record, vocab, lang_features):
-    """(ids, lang) for an already-cleaned record; lang is the list of the
-    tags' indices in LANG_TAGS when lang_features is true, else None. Tags
-    are read as parse_conll reads them; RecordError for one that names no tag."""
-    lang = None
-    if lang_features:
-        try:
-            lang = [_LANG_POSITION[t] for t in record.lang_tags]
-        except KeyError:  # not in parse_conll's form: normalise each tag
-            lang = [_known(_lang_position(t), t, "language tag") for t in record.lang_tags]
-    return [vocab.lookup(t) for t in record.tokens], lang
-
-
-def encode_corpus(records, vocab, lang_features):
-    """Encode records into (ids, lang, label_index) triples. A None (a record
-    that cleaned to nothing) encodes as ([UNK], None, None). Labels are read
-    as parse_conll reads them; RecordError for one that names no label."""
-    return [([UNK], None, None) if rec is None
-            else (*encode(rec, vocab, lang_features),
-                  None if rec.label is None
-                  else _known(_label_position(rec.label), rec.label, "sentiment label"))
-            for rec in records]
-
-
-class _TokenIds(dict):
+class TokenIds(dict):
     """raw token -> the vocabulary ids of its cleaned pieces, a tuple: each
     distinct token is cleaned (_clean_token, looked up at the call) and its
-    pieces looked up once, when it is first read."""
+    pieces looked up once, when it is first read. One memo serves one file."""
 
     def __init__(self, cfg, vocab):
         super().__init__()
@@ -374,14 +344,29 @@ class _TokenIds(dict):
         ids = self[tok] = tuple(map(self.vocab.lookup, _clean_token(tok, self.cfg)))
         return ids
 
+    @classmethod
+    def fit(cls, records, cfg):
+        """The memo of raw records, with the vocabulary of their cleaned tokens:
+        each distinct raw token is cleaned once, and its count added to each
+        of its pieces."""
+        counts = Counter(tok for rec in records for tok in rec.tokens)
+        pieces = {tok: _clean_token(tok, cfg) for tok in counts}
+        piece_counts = Counter()
+        for tok, n in counts.items():
+            for piece in pieces[tok]:
+                piece_counts[piece] += n
+        memo = cls(cfg, Vocabulary.from_counts(piece_counts))
+        memo.update((tok, tuple(map(memo.vocab.lookup, got))) for tok, got in pieces.items())
+        return memo
 
-def encode_records(records, cfg: CleaningConfig, vocab, lang_features):
-    """Yield (record.id, example) for every raw record, in order: example is
-    encode_corpus's (ids, lang, label) of clean(record, cfg), ([UNK], None,
-    None) where no token survives. One memo per call maps each distinct raw
-    token to its ids, so a token costs one dict lookup; the unmemoized clean
-    and encode are its reference."""
-    token_ids = _TokenIds(cfg, vocab)
+
+def encode_records(records, token_ids, lang_features):
+    """Yield (record.id, (ids, lang, label)) for every raw record, in order, as
+    tests/extra_ops.encode_corpus encodes clean(record, token_ids.cfg), and
+    ([UNK], None, None) where no token survives; lang is None unless
+    lang_features. token_ids, one memo for the file, maps each distinct raw
+    token to its ids, so a token costs one dict lookup. Tags and labels are
+    read as parse_conll reads them; RecordError for one that names neither."""
     for rec in records:
         pieces = list(map(token_ids.__getitem__, rec.tokens))
         ids = list(chain.from_iterable(pieces))
@@ -389,11 +374,13 @@ def encode_records(records, cfg: CleaningConfig, vocab, lang_features):
             yield rec.id, ([UNK], None, None)
             continue
         lang = None
-        if lang_features:
-            lang = []
-            for tag, got in zip(rec.lang_tags, pieces):
-                if got:  # the tag once per piece, as clean repeats it
-                    lang += [_known(_lang_position(tag), tag, "language tag")] * len(got)
+        if lang_features:  # the tag once per piece, as clean repeats it
+            try:
+                lang = [_LANG_POSITION[tag] for tag, got in zip(rec.lang_tags, pieces)
+                        for _ in got]
+            except KeyError:  # not in parse_conll's form: normalise each tag
+                lang = [_known(_lang_position(tag), tag, "language tag")
+                        for tag, got in zip(rec.lang_tags, pieces) for _ in got]
         yield rec.id, (ids, lang, None if rec.label is None
                        else _known(_label_position(rec.label), rec.label, "sentiment label"))
 

@@ -26,18 +26,62 @@ oracle of the one fan-out per layer that runs them by example slices.
 make_layer builds one model layer on its own, its parameters drawn by the
 model's init table. dense_grad is a parameter's gradient as one array: the
 embedding table's row-sparse gradient densified, the oracle of the dense
-[vocab, dim] gradient that the library never builds.
+[vocab, dim] gradient that the library never builds. build_vocab counts
+already-cleaned records' tokens, and encode and encode_corpus encode such
+records one token at a time, with no memo: with corpus.clean_corpus, the
+reference of corpus.TokenIds.fit and corpus.encode_records, which every
+command encodes through. read_conll_file is corpus.iter_conll_file's records
+of a file as one list, beside its skipped blocks, as parse_conll gives text's.
 """
+
+from collections import Counter
 
 import numpy as np
 
 from hcms import tensor
-from hcms.corpus import LANG_TAGS
+from hcms.corpus import (LANG_TAGS, UNK, Vocabulary, _known, _label_position,
+                         _lang_position, iter_conll_file)
 from hcms.tensor import *  # noqa: F401,F403 - the library ops, re-exported
 from hcms.layers import (ConvBlock, DenseHead, EmbeddingLayer, SelfAttentionLayer,
                          init_parameters)
 from hcms.tensor import Parameter, ShapeError, _strided, as_tensor
 from hcms.train import PROB_FLOOR
+
+
+# ---------------------------------------------------------------------------
+# reading and encoding
+
+def read_conll_file(path, strict=False):
+    """(records, skipped) of a UTF-8 file: iter_conll_file's records as one list."""
+    skipped = []
+    return list(iter_conll_file(path, skipped, strict)), skipped
+
+
+def build_vocab(records, min_count=1):
+    """The vocabulary of cleaned records' tokens, by Vocabulary.from_counts."""
+    return Vocabulary.from_counts(Counter(tok for rec in records for tok in rec.tokens),
+                                  min_count)
+
+
+def encode(record, vocab, lang_features):
+    """(ids, lang) for an already-cleaned record; lang is the list of the
+    tags' indices in LANG_TAGS when lang_features is true, else None. Tags
+    are read as parse_conll reads them; RecordError for one that names no tag."""
+    lang = None
+    if lang_features:
+        lang = [_known(_lang_position(t), t, "language tag") for t in record.lang_tags]
+    return [vocab.lookup(t) for t in record.tokens], lang
+
+
+def encode_corpus(records, vocab, lang_features):
+    """Encode cleaned records into (ids, lang, label_index) triples. A None (a
+    record that cleaned to nothing) encodes as ([UNK], None, None). Labels
+    are read as parse_conll reads them; RecordError for one that names no label."""
+    return [([UNK], None, None) if rec is None
+            else (*encode(rec, vocab, lang_features),
+                  None if rec.label is None
+                  else _known(_label_position(rec.label), rec.label, "sentiment label"))
+            for rec in records]
 
 
 # ---------------------------------------------------------------------------

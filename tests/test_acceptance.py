@@ -13,8 +13,8 @@ import pytest
 
 import extra_ops as T
 from hcms.cli import main, train_and_test_f1
-from hcms.corpus import (CleaningConfig, build_vocab, clean, clean_corpus,
-                         encode_corpus, parse_conll, serialize_conll)
+from hcms.corpus import (CleaningConfig, TokenIds, clean, encode_records, parse_conll,
+                         serialize_conll)
 from hcms.layers import HCMSModel, ModelConfig, SelfAttentionLayer
 from hcms.metrics import score
 from synthetic import (load_mini_corpus, make_long_range_corpus,
@@ -189,10 +189,9 @@ def test_overfit_bundled_corpus():
     records = load_mini_corpus()
     assert len(records) == 60
     cleaning = CleaningConfig()
-    cleaned = [r for r in clean_corpus(records, cleaning) if r is not None]
-    vocab = build_vocab(cleaned)
-    data = encode_corpus(cleaned, vocab, False)
-    cfg = ModelConfig(vocab_size=len(vocab), embed_dim=32, filters=32,
+    token_ids = TokenIds.fit(records, cleaning)
+    data = [ex for _, ex in encode_records(records, token_ids, False) if ex[2] is not None]
+    cfg = ModelConfig(vocab_size=len(token_ids.vocab), embed_dim=32, filters=32,
                       kernel=4, attn_hidden=16, max_len=18)
     model = HCMSModel(cfg, seed=0)
     acc = 0.0

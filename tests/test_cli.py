@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -16,11 +17,11 @@ import hcms.train
 from hcms import cli as cli_module
 
 from hcms.cli import _model_config, load_run_config, main
-from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, build_vocab, clean,
-                         clean_corpus, encode, parse_conll, serialize_conll)
+from hcms.corpus import (LABELS, UNK, CleaningConfig, Vocabulary, clean, clean_corpus,
+                         parse_conll, serialize_conll)
 from hcms.layers import HCMSModel, ModelConfig
 from hcms.metrics import format_report_kv, score
-from extra_ops import predict
+from extra_ops import build_vocab, encode, encode_corpus, predict
 from synthetic import load_mini_corpus
 from hcms.train import load_checkpoint, save_checkpoint
 
@@ -111,6 +112,38 @@ def test_each_distinct_token_cleaned_once_per_file(corpus_files, trained, tmp_pa
         calls.clear()
         assert main([*map(str, argv), "--out-dir", str(tmp_path / str(i))]) == 0
         assert sorted(calls) == sorted(t for toks in tokens for t in set(toks))
+
+
+@pytest.mark.parametrize("lang_features", [False, True])
+def test_train_front_end_matches_reference(corpus_files, tmp_path, monkeypatch,
+                                           lang_features):
+    # _train_once's vocabulary and examples against the unmemoized path:
+    # clean_corpus of the labeled records, build_vocab, encode_corpus. An
+    # unlabeled record's tokens, found nowhere else, are not in the
+    # vocabulary, and a labeled record that cleans to nothing is dropped
+    records = parse_conll((corpus_files / "train.conll").read_text(encoding="utf-8"))[0]
+    records.insert(5, type(records[0])(id="u", tokens=["zzqunique", "Yyq"],
+                                       lang_tags=["ENG", "HIN"]))
+    records.insert(9, type(records[0])(id="e", tokens=["@user", "http://t.co/x"],
+                                       lang_tags=["O", "O"], label="neutral"))
+    path = tmp_path / "train.conll"
+    path.write_text(serialize_conll(records), encoding="utf-8")
+    val = corpus_files / "val.conll"
+    seen = []
+    monkeypatch.setattr(cli_module, "train", lambda model, *data: seen.append(data) or [])
+    cfg = load_run_config(None, [*FAST[1::2], f"append_lang_onehot={lang_features}"])
+    _, vocab, cleaning, _ = cli_module._train_once(cfg, path, val)
+    ((train_data, val_data, *_),) = seen
+    cleaned = [r for r in clean_corpus([r for r in records if r.label is not None], cleaning)
+               if r is not None]
+    ref = build_vocab(cleaned)
+    assert vocab.index_to_token == ref.index_to_token
+    assert "zzqunique" not in vocab.token_to_index and len(train_data) == len(records) - 2
+    assert train_data == encode_corpus(cleaned, ref, lang_features)
+    val_cleaned = [r for r in clean_corpus(parse_conll(val.read_text(encoding="utf-8"))[0],
+                                           cleaning) if r is not None]
+    assert val_data == encode_corpus(val_cleaned, ref, lang_features)
+    assert all((tags is not None) == lang_features for _, tags, _ in train_data + val_data)
 
 
 def test_train_outputs(trained):
@@ -244,26 +277,80 @@ def test_predict_windows_match_one_window(corpus_files, trained, tmp_path, monke
     assert digests == digests[:1] * 3
 
 
-def test_predict_front_end_is_bounded_by_a_window(trained, tmp_path, monkeypatch):
-    # predict stubbed out, the command's parse, clean, encode and prepare of
-    # 4N records peak within 10% of their peak over N: each window of 64
-    # records is freed before the next is read (at one window a file, the 4N
-    # peak is about 4 times the N peak)
+def command_peak(argv):
+    """tracemalloc's peak over one CLI command, which must exit 0. Its
+    arguments are parsed before the trace starts: an ArgumentParser holds
+    reference cycles, so the one main builds stays allocated until a
+    collection at no fixed point of the command: it put about 26 KB into
+    the 4N peak of one run of the predict test below and not into its N
+    peak."""
+    args = cli_module.build_parser().parse_args(list(map(str, argv)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert args.fn(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def window_peaks(command, checkpoint, tmp_path, monkeypatch):
+    """command_peak of command over N and 4N labeled records, windows of 64
+    records and predict stubbed out: the command's parse, clean, encode and
+    prepare. predict's records are renamed and unlabeled (_with_empty)."""
     monkeypatch.setattr(cli_module, "PREDICT_WINDOW", 64)
     monkeypatch.setattr(cli_module, "predict", lambda model, corpus, batch_size:
                         [0] * len(corpus.lengths))
-    records, peaks = load_mini_corpus(), []
+    records, argvs = load_mini_corpus(), []
     for n in (512, 2048):
-        path = tmp_path / f"{n}.conll"
-        path.write_text(serialize_conll(_with_empty((records * n)[:n], ())), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            assert main(["predict", "--checkpoint", str(trained / "model.ckpt"),
-                         "--input", str(path), "--out-dir", str(tmp_path / str(n))]) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        kept = (records * n)[:n]
+        path = tmp_path / f"{command}{n}.conll"
+        path.write_text(serialize_conll(_with_empty(kept, ()) if command == "predict"
+                                        else kept), encoding="utf-8")
+        argvs.append([command, "--checkpoint", checkpoint, "--input", path,
+                      "--out-dir", tmp_path / f"{command}{n}"])
+    return [command_peak(argv) for argv in argvs]
+
+
+def test_predict_front_end_is_bounded_by_a_window(trained, tmp_path, monkeypatch):
+    # the 4N peak is within 10% of the N peak: each window is freed before
+    # the next is read (at one window a file, the 4N peak is about 4 times
+    # the N peak)
+    peaks = window_peaks("predict", trained / "model.ckpt", tmp_path, monkeypatch)
     assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_eval_front_end_is_bounded_by_a_window(trained, tmp_path, monkeypatch):
+    # as predict's, with the true and predicted labels kept a byte each
+    peaks = window_peaks("eval", trained / "model.ckpt", tmp_path, monkeypatch)
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_eval_windows_match_one_window(corpus_files, trained, tmp_path, monkeypatch):
+    # 14 records, 12 of them scored, in windows of 3 and batches of 4: an
+    # unlabeled record and a labeled one that cleans to nothing are not
+    # scored, and the report is the oracle's, byte for byte, in one window
+    # and in four
+    records = parse_conll((corpus_files / "test.conll").read_text(encoding="utf-8"))[0]
+    empty = type(records[0])(id="empty", tokens=["@user", "#"], lang_tags=["O", "O"],
+                             label="neutral")
+    records = [*records[:4], empty, *_unlabeled(records[4:5]), *records[4:], *records[:2]]
+    path = tmp_path / "in.conll"
+    path.write_text(serialize_conll(records), encoding="utf-8")
+    ckpt = trained / "model.ckpt"
+    labeled = [r for r in records if r.label is not None and r is not empty]
+    want = format_report_kv(score([LABELS.index(r.label) for r in labeled],
+                                  oracle_labels(ckpt, labeled), 3)) + "\n"
+    windows, predict_window = [], cli_module.predict
+    monkeypatch.setattr(cli_module, "predict", lambda *a: windows.append(1) or predict_window(*a))
+    for window in (cli_module.PREDICT_WINDOW, 3):
+        monkeypatch.setattr(cli_module, "PREDICT_WINDOW", window)
+        windows.clear()
+        out = tmp_path / str(window)
+        assert main(["eval", "--checkpoint", str(ckpt), "--input", str(path),
+                     "--out-dir", str(out), "--set", "batch_size=4"]) == 0
+        assert (out / "report.kv").read_text(encoding="utf-8") == want
+        assert len(windows) == -(-len(labeled) // window)
 
 
 def oracle_labels(checkpoint, records):

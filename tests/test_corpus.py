@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hcms.corpus import (LANG_TAGS, UNK, CleaningConfig, ConllParseError, RecordError,
-                         TweetRecord, Vocabulary, build_vocab, clean, clean_corpus,
-                         corpus_stats, encode, encode_corpus, encode_records,
-                         parse_conll, read_conll_file, serialize_conll)
+                         TokenIds, TweetRecord, Vocabulary, clean, clean_corpus,
+                         corpus_stats, encode_records, parse_conll, serialize_conll)
+from extra_ops import build_vocab, encode, encode_corpus, read_conll_file
 from synthetic import load_mini_corpus
 
 
@@ -273,7 +273,7 @@ def test_encode_records_matches_clean_then_encode(lang_features, flags):
     cleaned = [clean(r, flags) for r in records]
     # a vocabulary of part of the cleaned tokens, so that some pieces are UNK
     vocab = build_vocab([r for r in cleaned[::2] if r is not None])
-    got = list(encode_records(records, flags, vocab, lang_features))
+    got = list(encode_records(records, TokenIds(flags, vocab), lang_features))
     want = [(r.id, ex) for r, ex in zip(records, encode_corpus(cleaned, vocab, lang_features))]
     assert got == want
     assert got[1] == ("empty", ([UNK], None, None))
